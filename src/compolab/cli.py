@@ -1,14 +1,14 @@
 """Command-line surface: values, tables, verification suites, enumeration, b-files.
 
 Exit codes are a stable contract: 0 success, 1 verification failure, 2
-usage/input error, 3 resource limit exceeded.
+usage/input error (or a stdout closed early), 3 resource limit exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +22,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-MEMO_HEADER = "compolab-memo v1"
 
 
 @dataclass
@@ -48,105 +46,58 @@ class OutputRecord:
 
 
 # ---------------------------------------------------------------------------
-# Persistent memo cache
+# routes
 # ---------------------------------------------------------------------------
 
-def load_memo_file(path: Path) -> MemoStore:
-    """Load a memo cache, returning an empty store when the file is missing,
-    malformed, or fails spot revalidation (never trusted blindly)."""
-    store = MemoStore()
-    if not path.exists():
-        return store
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        print(f"warning: ignoring unreadable cache {path}: {exc}", file=sys.stderr)
-        return store
-    if not lines or lines[0].strip() != MEMO_HEADER:
-        print(f"warning: ignoring cache {path}: bad header", file=sys.stderr)
-        return store
-    cells: dict[tuple[int, int], int] = {}
-    for raw in lines[1:]:
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            print(f"warning: ignoring cache {path}: bad line {line!r}", file=sys.stderr)
-            return store
-        try:
-            n, m, value = int(fields[0]), int(fields[1]), int(fields[2])
-        except ValueError:
-            print(f"warning: ignoring cache {path}: bad line {line!r}", file=sys.stderr)
-            return store
-        if n < 0 or m < 0 or m > n or value < 1 or (n == m and value != 1):
-            print(f"warning: ignoring cache {path}: implausible cell {line!r}", file=sys.stderr)
-            return store
-        cells[(n, m)] = value
-    # Revalidation, ruling out single-cell corruption: recompute one randomly
-    # chosen dependency of each cell from scratch (shared fresh store,
-    # independent of the cache), then re-derive the cell from its dependency
-    # sum, preferring cached dependency values so already-checked cells anchor
-    # the later ones.  Any mismatch discards the whole cache.
-    fresh = MemoStore()
-    rng = random.Random()
+Route = Callable[..., int]
 
-    def dep_value(a: int, b: int) -> int:
-        if a == b:
-            return 1
-        if (a, b) in cells:
-            return cells[(a, b)]
-        return closedform.comp_count_recursive(a, b, memo=fresh)
+# kind -> (required parameters, {method: route}); the first method is the
+# kind's default.  A route is called as route(args, memo, *parameters).
+ROUTES: dict[str, tuple[tuple[str, ...], dict[str, Route]]] = {
+    "comp": (("n", "m"), {
+        "recursive": lambda a, memo, n, m: closedform.comp_count_recursive(n, m, memo=memo),
+        "explicit": lambda a, memo, n, m: closedform.comp_count_explicit(n, m),
+        "brute": lambda a, memo, n, m: enumeration.composition_count_brute(
+            graphs.complete_minus_clique(n, m), cap=a.max_brute_n, workers=a.workers
+        ),
+        "paper-literal": lambda a, memo, n, m: closedform.comp_count_paper_literal(n, m),
+    }),
+    "minimax": (("n", "m"), {
+        "formula": lambda a, memo, n, m: closedform.minimax_count_formula(n, m),
+        "brute": lambda a, memo, n, m: enumeration.minimax_count_brute(n, m, cap=a.max_brute_n),
+    }),
+    "maximin": (("n", "m"), {
+        "formula": lambda a, memo, n, m: closedform.maximin_count_formula(n, m),
+    }),
+    "k1": (("n", "m"), {
+        "formula": lambda a, memo, n, m: closedform.k1_count_formula(n, m),
+        "brute": lambda a, memo, n, m: enumeration.kj_count_brute(n, m, 1, cap=a.max_brute_n),
+    }),
+    "kj": (("n", "m", "j"), {
+        "brute": lambda a, memo, n, m, j: enumeration.kj_count_brute(n, m, j, cap=a.max_brute_n),
+    }),
+    "bell": (("n",), {"formula": lambda a, memo, n: numtheory.bell(n)}),
+    "stirling2": (("n", "m"), {"formula": lambda a, memo, n, m: numtheory.stirling2(n, m)}),
+    "binomial": (("n", "m"), {"formula": lambda a, memo, n, m: numtheory.binomial(n, m)}),
+}
 
-    for (n, m), value in sorted(cells.items()):
-        if n == m:
-            continue
-        pi = rng.randrange(n - m)
-        pj = rng.randrange(m + 1)
-        probe = (pi + pj, pj)
-        honest = closedform.comp_count_recursive(probe[0], probe[1], memo=fresh)
-        if probe in cells and cells[probe] != honest:
-            print(
-                f"warning: ignoring cache {path}: cell {probe} fails revalidation",
-                file=sys.stderr,
-            )
-            return store
-        derived = sum(
-            numtheory.binomial(n - m - 1, i)
-            * sum(
-                numtheory.binomial(m, j) * dep_value(i + j, j)
-                for j in range(m + 1)
-            )
-            for i in range(n - m)
+# Kinds that `table` renders, with the first row of each table.
+_TABLE_FIRST_ROW = {"comp": 0, "k1": 1}
+
+
+def _method_choices(kinds) -> list[str]:
+    return sorted({method for kind in kinds for method in ROUTES[kind][1]})
+
+
+def _select_route(args: argparse.Namespace) -> tuple[str, tuple[str, ...], Route]:
+    """The method, required parameters and route that ``args`` ask for."""
+    params, routes = ROUTES[args.kind]
+    method = "paper-literal" if args.paper_literal else args.method or next(iter(routes))
+    if method not in routes:
+        raise InvalidParametersError(
+            f"method {method!r} not available for kind {args.kind!r}"
         )
-        if derived != value:
-            print(
-                f"warning: ignoring cache {path}: cell ({n}, {m}) fails revalidation",
-                file=sys.stderr,
-            )
-            return store
-    for (n, m), value in cells.items():
-        store.put(n, m, value)
-    return store
-
-
-def save_memo_file(store: MemoStore, path: Path) -> None:
-    lines = [MEMO_HEADER]
-    lines.extend(f"{n} {m} {value}" for (n, m), value in store.items())
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _open_store(args: argparse.Namespace) -> tuple[MemoStore, Optional[Path]]:
-    cache = getattr(args, "cache", None)
-    if cache is None:
-        return MemoStore(), None
-    path = Path(cache)
-    return load_memo_file(path), path
-
-
-def _close_store(store: MemoStore, path: Optional[Path]) -> None:
-    if path is not None:
-        save_memo_file(store, path)
+    return method, params, routes[method]
 
 
 # ---------------------------------------------------------------------------
@@ -163,91 +114,20 @@ def _require(args: argparse.Namespace, *names: str) -> list[int]:
     return got
 
 
-def _comp_value(args: argparse.Namespace, method: str, store: MemoStore) -> int:
-    n, m = _require(args, "n", "m")
-    if method == "recursive":
-        return closedform.comp_count_recursive(n, m, memo=store)
-    if method == "explicit":
-        return closedform.comp_count_explicit(n, m)
-    if method == "paper-literal":
-        return closedform.comp_count_paper_literal(n, m)
-    if method == "brute":
-        g = graphs.complete_minus_clique(n, m)
-        return enumeration.composition_count_brute(
-            g, cap=args.max_brute_n, workers=args.workers
-        )
-    raise InvalidParametersError(f"method {method!r} not available for comp")
-
-
-_VALUE_METHODS = {
-    "comp": ("recursive", ("recursive", "explicit", "brute", "paper-literal")),
-    "minimax": ("formula", ("formula", "brute")),
-    "maximin": ("formula", ("formula",)),
-    "k1": ("formula", ("formula", "brute")),
-    "kj": ("brute", ("brute",)),
-    "bell": ("formula", ("formula",)),
-    "stirling2": ("formula", ("formula",)),
-    "binomial": ("formula", ("formula",)),
-}
-
-
 def cmd_value(args: argparse.Namespace) -> int:
-    default, allowed = _VALUE_METHODS[args.kind]
-    method = args.method or default
-    if args.paper_literal:
-        if args.kind != "comp":
-            raise InvalidParametersError("--paper-literal only applies to kind 'comp'")
-        method = "paper-literal"
-    if method not in allowed:
-        raise InvalidParametersError(
-            f"method {method!r} not available for kind {args.kind!r}"
-        )
-    store, cache_path = _open_store(args)
-    kind = args.kind
-    m_out: Optional[int] = None
-    j_out: Optional[int] = None
-    if kind == "comp":
-        value = _comp_value(args, method, store)
-        m_out = args.m
-    elif kind == "minimax":
-        n, m = _require(args, "n", "m")
-        m_out = m
-        if method == "formula":
-            value = closedform.minimax_count_formula(n, m)
-        else:
-            value = enumeration.minimax_count_brute(n, m, cap=args.max_brute_n)
-    elif kind == "maximin":
-        n, m = _require(args, "n", "m")
-        m_out = m
-        value = closedform.maximin_count_formula(n, m)
-    elif kind == "k1":
-        n, m = _require(args, "n", "m")
-        m_out = m
-        if method == "formula":
-            value = closedform.k1_count_formula(n, m)
-        else:
-            value = enumeration.kj_count_brute(n, m, 1, cap=args.max_brute_n)
-    elif kind == "kj":
-        n, m, j = _require(args, "n", "m", "j")
-        m_out, j_out = m, j
-        value = enumeration.kj_count_brute(n, m, j, cap=args.max_brute_n)
-    elif kind == "bell":
-        (n,) = _require(args, "n")
-        value = numtheory.bell(n)
-    elif kind == "stirling2":
-        n, m = _require(args, "n", "m")
-        m_out = m
-        value = numtheory.stirling2(n, m)
-    else:  # binomial
-        n, m = _require(args, "n", "m")
-        m_out = m
-        value = numtheory.binomial(n, m)
-    record = OutputRecord(n=args.n, m=m_out, j=j_out, value=str(value), method=method)
+    method, params, route = _select_route(args)
+    value = route(args, MemoStore(), *_require(args, *params))
+    record = OutputRecord(
+        n=args.n,
+        m=args.m if "m" in params else None,
+        j=args.j if "j" in params else None,
+        value=str(value),
+        method=method,
+    )
     if args.format == "json":
         print(json.dumps(record.to_json_dict()))
     else:
         print(record.value)
-    _close_store(store, cache_path)
     return EXIT_OK
 
 
@@ -255,48 +135,19 @@ def cmd_value(args: argparse.Namespace) -> int:
 # table
 # ---------------------------------------------------------------------------
 
-def _table_cells(args: argparse.Namespace, store: MemoStore) -> list[OutputRecord]:
-    cells: list[OutputRecord] = []
-    if args.kind == "comp":
-        if args.max_n < 0:
-            raise InvalidParametersError("--max-n must be >= 0 for the comp table")
-        method = args.method or "recursive"
-        if args.paper_literal:
-            method = "paper-literal"
-        rows = range(0, args.max_n + 1)
-    else:  # k1
-        if args.max_n < 1:
-            raise InvalidParametersError("--max-n must be >= 1 for the k1 table")
-        method = args.method or "formula"
-        if method not in ("formula", "brute"):
-            raise InvalidParametersError(f"method {method!r} not available for k1 table")
-        rows = range(1, args.max_n + 1)
-    for n in rows:
-        for m in range(n + 1):
-            if args.kind == "comp":
-                if method == "recursive":
-                    value = closedform.comp_count_recursive(n, m, memo=store)
-                elif method == "explicit":
-                    value = closedform.comp_count_explicit(n, m)
-                elif method == "paper-literal":
-                    value = closedform.comp_count_paper_literal(n, m)
-                elif method == "brute":
-                    value = enumeration.composition_count_brute(
-                        graphs.complete_minus_clique(n, m),
-                        cap=args.max_brute_n,
-                        workers=args.workers,
-                    )
-                else:
-                    raise InvalidParametersError(
-                        f"method {method!r} not available for comp table"
-                    )
-            else:
-                if method == "formula":
-                    value = closedform.k1_count_formula(n, m)
-                else:
-                    value = enumeration.kj_count_brute(n, m, 1, cap=args.max_brute_n)
-            cells.append(OutputRecord(n=n, m=m, value=str(value), method=method))
-    return cells
+def _table_cells(args: argparse.Namespace) -> list[OutputRecord]:
+    first = _TABLE_FIRST_ROW[args.kind]
+    if args.max_n < first:
+        raise InvalidParametersError(
+            f"--max-n must be >= {first} for the {args.kind} table"
+        )
+    method, _, route = _select_route(args)
+    memo = MemoStore()
+    return [
+        OutputRecord(n=n, m=m, value=str(route(args, memo, n, m)), method=method)
+        for n in range(first, args.max_n + 1)
+        for m in range(n + 1)
+    ]
 
 
 def _render_table(cells: list[OutputRecord], fmt: str, max_n: int) -> str:
@@ -328,10 +179,7 @@ def _render_table(cells: list[OutputRecord], fmt: str, max_n: int) -> str:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    store, cache_path = _open_store(args)
-    cells = _table_cells(args, store)
-    print(_render_table(cells, args.format, args.max_n))
-    _close_store(store, cache_path)
+    print(_render_table(_table_cells(args), args.format, args.max_n))
     return EXIT_OK
 
 
@@ -439,8 +287,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"suite {args.suite!r} with --n-max {args.n_max} would enumerate "
                 f"{args.n_max + offset} vertices, above the brute-force cap of {limit}"
             )
-    store, cache_path = _open_store(args)
-    checks = _SUITES[args.suite](args.n_max, args, store)
+    checks = _SUITES[args.suite](args.n_max, args, MemoStore())
     failures = 0
     for description, passed in checks:
         print(f"{'ok  ' if passed else 'FAIL'} {description}")
@@ -448,7 +295,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(
         f"{args.suite}: {len(checks) - failures}/{len(checks)} identities hold"
     )
-    _close_store(store, cache_path)
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
@@ -503,7 +349,7 @@ def parse_bfile(text: str) -> dict[int, int]:
 
 def cmd_bfile(args: argparse.Namespace) -> int:
     start, end = _parse_range(args.range)
-    store, cache_path = _open_store(args)
+    store = MemoStore()
     terms: list[tuple[int, int]] = []
     for index in range(start, end + 1):
         if args.kind == "rowsum":
@@ -512,7 +358,6 @@ def cmd_bfile(args: argparse.Namespace) -> int:
             terms.append((index, closedform.k1_count_formula(index, 0)))
     for index, value in terms:
         print(f"{index} {value}")
-    _close_store(store, cache_path)
     if args.compare is None:
         return EXIT_OK
     try:
@@ -537,29 +382,24 @@ def cmd_bfile(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, *, brute: bool = False, cache: bool = False) -> None:
-    if brute:
-        parser.add_argument(
-            "--max-brute-n",
-            type=int,
-            default=None,
-            metavar="N",
-            help="override the brute-force enumeration cap (default %d)"
-            % enumeration.BRUTE_FORCE_CAP,
-        )
+def _add_brute(parser: argparse.ArgumentParser, *, workers: bool = True) -> None:
+    parser.add_argument(
+        "--max-brute-n",
+        type=int,
+        default=None,
+        metavar="N",
+        help="override the brute-force enumeration cap (default %d)"
+        % enumeration.BRUTE_FORCE_CAP,
+    )
+    if workers:
         parser.add_argument(
             "--workers",
             type=int,
+            choices=range(1, (os.cpu_count() or 1) + 1),
             default=1,
             metavar="W",
-            help="worker processes for brute-force counting (totals are identical)",
-        )
-    if cache:
-        parser.add_argument(
-            "--cache",
-            metavar="PATH",
-            default=None,
-            help="persistent memo cache file for the recursive count",
+            help="worker processes for brute-force counting, at most the CPU count "
+            "(totals are identical)",
         )
 
 
@@ -572,43 +412,45 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    paper_literal_help = (
+        "use the literal printed form of the explicit formula (documents a known erratum)"
+    )
 
     p_value = sub.add_parser("value", help="compute one count")
-    p_value.add_argument("kind", choices=sorted(_VALUE_METHODS))
+    p_value.add_argument("kind", choices=sorted(ROUTES))
     p_value.add_argument("-n", type=int, required=True)
     p_value.add_argument("-m", "--m", "--k", dest="m", type=int, default=None)
     p_value.add_argument("-j", type=int, default=None)
-    p_value.add_argument("--method", choices=("recursive", "explicit", "brute", "formula", "paper-literal"), default=None)
+    p_value.add_argument("--method", choices=_method_choices(ROUTES), default=None)
     p_value.add_argument("--format", choices=("text", "json"), default="text")
-    p_value.add_argument("--paper-literal", action="store_true", help="use the literal printed form of the explicit formula (documents a known erratum)")
-    _add_common(p_value, brute=True, cache=True)
+    p_value.add_argument("--paper-literal", action="store_true", help=paper_literal_help)
+    _add_brute(p_value)
     p_value.set_defaults(func=cmd_value)
 
     p_table = sub.add_parser("table", help="render a lower-triangular value table")
-    p_table.add_argument("kind", choices=("comp", "k1"))
+    p_table.add_argument("kind", choices=sorted(_TABLE_FIRST_ROW))
     p_table.add_argument("--max-n", type=int, required=True)
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_table.add_argument("--method", choices=("recursive", "explicit", "brute", "formula", "paper-literal"), default=None)
-    p_table.add_argument("--paper-literal", action="store_true", help="use the literal printed form of the explicit formula (documents a known erratum)")
-    _add_common(p_table, brute=True, cache=True)
+    p_table.add_argument("--method", choices=_method_choices(_TABLE_FIRST_ROW), default=None)
+    p_table.add_argument("--paper-literal", action="store_true", help=paper_literal_help)
+    _add_brute(p_table)
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run a cross-validation suite")
     p_verify.add_argument("suite", choices=sorted(_SUITES))
     p_verify.add_argument("--n-max", type=int, required=True)
-    _add_common(p_verify, brute=True, cache=True)
+    _add_brute(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_enum = sub.add_parser("enumerate", help="stream the compositions of a graph file")
     p_enum.add_argument("graph_file")
-    _add_common(p_enum, brute=True)
+    _add_brute(p_enum, workers=False)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_bfile = sub.add_parser("bfile", help="emit an integer sequence as b-file lines")
     p_bfile.add_argument("kind", choices=("rowsum", "k1zero"))
     p_bfile.add_argument("--range", required=True, metavar="A..B")
     p_bfile.add_argument("--compare", metavar="FILE", default=None, help="diff against a local reference b-file")
-    _add_common(p_bfile, cache=True)
     p_bfile.set_defaults(func=cmd_bfile)
 
     return parser
@@ -617,14 +459,32 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact values can exceed Python's int -> str digit limit (3.11+, and
+    # some 3.10 patch releases); lift it while the command runs.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
     except (InvalidParametersError, MalformedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # The reader left early (say, `| head`).  Point stdout at devnull so
+        # the interpreter's final flush of buffered output cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output ended", file=sys.stderr)
+        return EXIT_USAGE
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

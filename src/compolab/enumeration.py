@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidParametersError, ResourceLimitError
-from .graphs import LabelledGraph, is_connected_induced, label_mask
+from .graphs import LabelledGraph, is_connected_induced, label_mask, mask_connected
 
 BRUTE_FORCE_CAP = 12
 
@@ -199,11 +199,20 @@ def is_composition(g: LabelledGraph, p: Partition) -> bool:
 def compositions(g: LabelledGraph, cap: Optional[int] = None) -> Iterator[Composition]:
     """Every composition of g, in the set_partitions order of its vertex set."""
     _check_cap(g.n, cap)
-    return (
-        Composition(g, p)
-        for p in _partition_stream(g.labels)
-        if is_composition(g, p)
-    )
+    return _composition_stream(g, _connectivity_table(_position_adjacency(g)))
+
+
+def _composition_stream(g: LabelledGraph, conn: Sequence[int]) -> Iterator[Composition]:
+    """Filter the RGS stream by block connectivity; build objects only for hits."""
+    labels = g.labels
+    n = len(labels)
+    for rgs in _rgs_stream(n):
+        blocks = [0] * n
+        for v, b in enumerate(rgs):
+            blocks[b] |= 1 << v
+        # Unused trailing entries stay 0, and conn[0] is true.
+        if all(conn[mask] for mask in blocks):
+            yield Composition(g, Partition(labels, rgs))
 
 
 # ---------------------------------------------------------------------------
@@ -224,30 +233,15 @@ def _position_adjacency(g: LabelledGraph) -> list[int]:
     return padj
 
 
-def _mask_connected(mask: int, padj: list[int]) -> bool:
-    reached = mask & -mask
-    frontier = reached
-    while frontier:
-        grown = 0
-        rest = frontier
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            grown |= padj[low.bit_length() - 1]
-        frontier = grown & mask & ~reached
-        reached |= frontier
-    return reached == mask
-
-
 def _connectivity_table(padj: list[int]) -> Sequence[int]:
     """conn[mask] = 1 iff the positions in mask induce a connected subgraph."""
     n = len(padj)
     if n > _EAGER_CONN_LIMIT:
         return _LazyConnectivity(padj)
     table = bytearray(1 << n)
-    table[0] = 1  # vacuous; never consulted for real blocks
+    table[0] = 1  # the empty set; _composition_stream tests unused block slots
     for mask in range(1, 1 << n):
-        table[mask] = _mask_connected(mask, padj)
+        table[mask] = mask_connected(mask, padj)
     return table
 
 
@@ -263,7 +257,7 @@ class _LazyConnectivity:
     def __getitem__(self, mask: int) -> bool:
         got = self._known.get(mask)
         if got is None:
-            got = self._known[mask] = _mask_connected(mask, self._padj)
+            got = self._known[mask] = mask_connected(mask, self._padj)
         return got
 
 

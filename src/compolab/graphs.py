@@ -11,8 +11,7 @@ package counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import InvalidParametersError, MalformedInputError
 
@@ -199,9 +198,13 @@ def delete_vertex(g: LabelledGraph, v: int) -> LabelledGraph:
     return LabelledGraph(keep, tuple(adj))
 
 
-@lru_cache(maxsize=None)
-def _connected(g: LabelledGraph, mask: int) -> bool:
-    """Bitset BFS: is the subgraph induced by ``mask`` connected?"""
+def mask_connected(mask: int, adj: Sequence[int]) -> bool:
+    """Bitset BFS: does the vertex set ``mask`` induce a connected subgraph?
+
+    ``adj[v]`` is the neighbor bitset of bit v; the empty set counts as
+    connected.  Nothing is cached, so memory stays flat however many graphs
+    a process checks.
+    """
     reached = mask & -mask
     frontier = reached
     while frontier:
@@ -210,7 +213,7 @@ def _connected(g: LabelledGraph, mask: int) -> bool:
         while rest:
             low = rest & -rest
             rest ^= low
-            grown |= g.adj[low.bit_length() - 1]
+            grown |= adj[low.bit_length() - 1]
         frontier = grown & mask & ~reached
         reached |= frontier
     return reached == mask
@@ -223,7 +226,7 @@ def is_connected_induced(g: LabelledGraph, s: VertexSetLike) -> bool:
         raise InvalidParametersError("the empty set induces no subgraph")
     if mask & ~g.vertex_mask:
         raise InvalidParametersError("vertex set is not a subset of the graph's vertices")
-    return _connected(g, mask)
+    return mask_connected(mask, g.adj)
 
 
 def parse_graph_file(text: str) -> LabelledGraph:

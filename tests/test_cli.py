@@ -1,11 +1,17 @@
-"""CLI surface: commands, formats, exit codes, and the persistent memo cache."""
+"""CLI surface: commands, formats, routes and exit codes."""
 
+import argparse
+import decimal
+import io
 import json
+import math
+import os
+import sys
 
 import pytest
 from conftest import COMP_TABLE, K1_TABLE
 
-from compolab.cli import MEMO_HEADER, load_memo_file, main, parse_bfile, save_memo_file
+from compolab.cli import ROUTES, main, parse_bfile
 from compolab.closedform import MemoStore, comp_count_recursive
 
 
@@ -85,6 +91,76 @@ def test_value_output_is_exact_decimal(capsys):
     assert int(text) == comp_count_recursive(30, 15, memo=MemoStore())
 
 
+def test_value_prints_more_digits_than_the_int_str_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run(capsys, "value", "binomial", "-n", "16000", "-m", "8000")
+    assert code == 0
+    digits = out.strip()
+    assert len(digits) > 4300
+    # Decimal renders an int without passing through the limited int -> str path.
+    assert digits == str(decimal.Decimal(math.comb(16000, 8000)))
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def _outcome(route, *values):
+    args = argparse.Namespace(max_brute_n=None, workers=1)
+    try:
+        return route(args, MemoStore(), *values)
+    except Exception as exc:  # a rejected input must be rejected by every route
+        return type(exc)
+
+
+def test_every_route_agrees_with_the_default_route():
+    for kind, (params, routes) in ROUTES.items():
+        default = next(iter(routes.values()))
+        for method, route in routes.items():
+            if method == "paper-literal":
+                continue  # the documented erratum, checked on its own above
+            for n in range(1, 7):  # k1's formula route rejects n = 0
+                for m in range(n + 1):
+                    values = [{"n": n, "m": m, "j": 2}[name] for name in params]
+                    assert _outcome(route, *values) == _outcome(default, *values), (
+                        kind, method, n, m,
+                    )
+
+
+def test_workers_bounded_by_cpu_count(capsys):
+    too_many = str((os.cpu_count() or 1) + 1)
+    for workers in ("0", too_many):
+        with pytest.raises(SystemExit) as exc:
+            main(["value", "comp", "-n", "9", "-m", "4", "--method", "brute",
+                  "--workers", workers])
+        assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away; fileno() names a scratch fd."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_broken_pipe_exits_2(monkeypatch, capsys):
+    read_end, write_end = os.pipe()
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(write_end))
+        code = main(["table", "comp", "--max-n", "6"])
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
@@ -154,6 +230,11 @@ def test_table_k1_brute_matches_reference(capsys):
         assert lines[n] == ",".join([str(n)] + [str(v) for v in K1_TABLE[n]])
 
 
+def test_table_k1_rejects_paper_literal(capsys):
+    code, out, _ = run(capsys, "table", "k1", "--max-n", "4", "--paper-literal")
+    assert code == 2 and out == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -219,6 +300,14 @@ def test_enumerate_malformed_file(tmp_path, capsys):
     assert run(capsys, "enumerate", str(tmp_path / "missing.graph"))[0] == 2
 
 
+def test_enumerate_takes_no_workers(tmp_path):
+    f = tmp_path / "k2.graph"
+    f.write_text("n 2\n1 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", str(f), "--workers", "1"])
+    assert exc.value.code == 2
+
+
 def test_enumerate_cap(tmp_path, capsys):
     f = tmp_path / "big.graph"
     f.write_text("n 13\n")
@@ -273,52 +362,3 @@ def test_bfile_bad_range(capsys):
 def test_parse_bfile_comments_and_values():
     parsed = parse_bfile("# c\n\n0 1\n5 203\n")
     assert parsed == {0: 1, 5: 203}
-
-
-# ---------------------------------------------------------------------------
-# memo cache
-# ---------------------------------------------------------------------------
-
-def test_cache_round_trip(tmp_path, capsys):
-    cache = tmp_path / "memo.txt"
-    code, out, _ = run(capsys, "value", "comp", "-n", "10", "-m", "4", "--cache", str(cache))
-    assert code == 0
-    first = out.strip()
-    text = cache.read_text()
-    assert text.splitlines()[0] == MEMO_HEADER
-    code, out, _ = run(capsys, "value", "comp", "-n", "10", "-m", "4", "--cache", str(cache))
-    assert code == 0 and out.strip() == first
-
-
-def test_cache_bad_header_ignored(tmp_path, capsys):
-    cache = tmp_path / "memo.txt"
-    cache.write_text("not-a-cache\n1 0 1\n")
-    code, out, err = run(capsys, "value", "comp", "-n", "4", "-m", "2", "--cache", str(cache))
-    assert code == 0 and out.strip() == "13"
-    assert "ignoring cache" in err
-
-
-def test_cache_corrupted_cell_rejected(tmp_path):
-    cache = tmp_path / "memo.txt"
-    store = MemoStore()
-    comp_count_recursive(10, 5, memo=store)
-    save_memo_file(store, cache)
-
-    loaded = load_memo_file(cache)
-    assert loaded.get(10, 5) == store.get(10, 5)
-
-    # Poison one cell; the loader must refuse the whole file.
-    poisoned = [
-        line if not line.startswith("10 5 ") else "10 5 999"
-        for line in cache.read_text().splitlines()
-    ]
-    cache.write_text("\n".join(poisoned) + "\n")
-    assert len(load_memo_file(cache)) == 0
-
-
-def test_cache_implausible_cells_rejected(tmp_path):
-    cache = tmp_path / "memo.txt"
-    cache.write_text(f"{MEMO_HEADER}\n3 3 7\n")
-    assert len(load_memo_file(cache)) == 0  # diagonal must be 1
-    cache.write_text(f"{MEMO_HEADER}\n2 5 4\n")
-    assert len(load_memo_file(cache)) == 0  # m > n

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import MINIMAX_EXAMPLE_3, blocks_of, enumerate_partitions
+from conftest import MINIMAX_EXAMPLE_3, bfs_connected, blocks_of, enumerate_partitions
 
 from compolab import (
     Composition,
@@ -16,6 +16,7 @@ from compolab import (
     composition_count_brute,
     compositions,
     from_edge_list,
+    from_vertices_and_edges,
     is_composition,
     kj_count_brute,
     minimax_count_brute,
@@ -212,6 +213,28 @@ def test_compositions_stream():
         "{1}|{2,3}",
         "{1}|{2}|{3}",
     ]
+
+
+def test_compositions_match_filtered_partitions_on_random_graphs():
+    rng = random.Random(1709)
+    for _ in range(40):
+        labels = sorted(rng.sample(range(1, 15), rng.randint(0, 8)))
+        density = rng.random()
+        edges = [
+            (u, v)
+            for i, u in enumerate(labels)
+            for v in labels[i + 1:]
+            if rng.random() < density
+        ]
+        g = from_vertices_and_edges(labels, edges)
+        expected = [
+            p
+            for p in partitions_of(labels)
+            if all(bfs_connected(edges, block) for block in p.blocks())
+        ]
+        assert [c.partition for c in compositions(g)] == expected
+    with pytest.raises(ResourceLimitError):
+        compositions(complete(13))  # raised by the call, before any next()
 
 
 def test_workers_give_identical_totals():
