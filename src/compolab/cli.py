@@ -323,9 +323,12 @@ def _parse_range(text: str) -> tuple[int, int]:
     if len(fields) != 2:
         raise InvalidParametersError(f"range must look like A..B, got {text!r}")
     try:
-        return int(fields[0]), int(fields[1])
+        start, end = int(fields[0]), int(fields[1])
     except ValueError:
         raise InvalidParametersError(f"range must look like A..B, got {text!r}") from None
+    if start < 0:
+        raise InvalidParametersError(f"range must start at 0 or above, got {text!r}")
+    return start, end
 
 
 def parse_bfile(text: str) -> dict[int, int]:
@@ -456,9 +459,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_range_value(argv: list[str]) -> list[str]:
+    """Write ``--range -3..2`` as ``--range=-3..2``: argparse would read a
+    value that starts with a dash and a digit as an option of its own."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--range" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--range={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_range_value(sys.argv[1:] if argv is None else argv))
     # Exact values can exceed Python's int -> str digit limit (3.11+, and
     # some 3.10 patch releases); lift it while the command runs.
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -24,10 +24,11 @@ rather than silently patched.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from .errors import InvalidParametersError
-from .numtheory import bell, binomial, stirling2
+from .numtheory import bell_numbers, stirling_row
 
 
 class MemoStore:
@@ -35,13 +36,16 @@ class MemoStore:
 
     Cells are immutable once written: rewriting with a different value raises,
     which also makes concurrent duplicate computation of a cell harmless (both
-    writers must produce the identical value).
+    writers must produce the identical value).  The store also holds the
+    recursion's inner sums, keyed (i, m); they live and are cleared with the
+    cells but are not cells, so ``len`` and ``items`` do not count them.
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ("_table", "_inner")
 
     def __init__(self) -> None:
         self._table: dict[tuple[int, int], int] = {}
+        self._inner: dict[tuple[int, int], int] = {}
 
     def get(self, n: int, m: int) -> Optional[int]:
         return self._table.get((n, m))
@@ -60,15 +64,13 @@ class MemoStore:
 
     def clear(self) -> None:
         self._table.clear()
+        self._inner.clear()
 
     def __contains__(self, key: tuple[int, int]) -> bool:
         return key in self._table
 
     def __len__(self) -> int:
         return len(self._table)
-
-
-_SHARED_MEMO = MemoStore()
 
 
 def _check_pair(n: int, m: int) -> None:
@@ -84,35 +86,46 @@ def comp_count_recursive(n: int, m: int, memo: Optional[MemoStore] = None) -> in
     many independent-prefix vertices (j) are missing from the marked vertex's
     block, which costs comp(i + j, j) compositions for the rest; every
     recursive call strictly decreases the vertex count, so the recursion
-    terminates.
+    terminates.  ``memo=None`` uses a fresh store for this call only.
     """
     _check_pair(n, m)
-    store = _SHARED_MEMO if memo is None else memo
-    return _comp_recursive(n, m, store)
+    return _comp_recursive(n, m, MemoStore() if memo is None else memo)
 
 
 def _comp_recursive(n: int, m: int, store: MemoStore) -> int:
+    """comp(n, m) = sum_i C(n-m-1, i) * inner(i, m), where
+    inner(i, m) = sum_j C(m, j) * comp(i + j, j) does not depend on n and is
+    kept in ``store._inner``.  Arguments are trusted; the inner sum is
+    written inline so that each level of the recursion costs one frame."""
     if n == m:
         return 1
     cached = store.get(n, m)
     if cached is not None:
         return cached
+    inners = store._inner
+    d = n - m - 1
     total = 0
-    for i in range(n - m):
-        inner = 0
-        for j in range(m + 1):
-            inner += binomial(m, j) * _comp_recursive(i + j, j, store)
-        total += binomial(n - m - 1, i) * inner
+    for i in range(d + 1):
+        inner = inners.get((i, m))
+        if inner is None:
+            inner = 0
+            for j in range(m + 1):
+                inner += math.comb(m, j) * _comp_recursive(i + j, j, store)
+            inners[(i, m)] = inner
+        total += math.comb(d, i) * inner
     store.put(n, m, total)
     return total
+
+
+def _stirling_power_sum(d: int, e: int) -> int:
+    """sum_{k=1}^{d+1} S(d, k-1) * k^e, from one Stirling row."""
+    return sum(s * k**e for k, s in enumerate(stirling_row(d), start=1))
 
 
 def comp_count_explicit(n: int, m: int) -> int:
     """comp(n, m) by the explicit Stirling sum: sum_{k=1}^{n-m+1} S(n-m, k-1) * k^m."""
     _check_pair(n, m)
-    if n == m:
-        return 1
-    return sum(stirling2(n - m, k - 1) * k**m for k in range(1, n - m + 2))
+    return _stirling_power_sum(n - m, m)
 
 
 def comp_count_paper_literal(n: int, m: int) -> int:
@@ -123,7 +136,7 @@ def comp_count_paper_literal(n: int, m: int) -> int:
     Do not use for real counts.
     """
     _check_pair(n, m)
-    return sum(stirling2(m, k - 1) * k ** (n - m) for k in range(1, m + 2))
+    return _stirling_power_sum(m, n - m)
 
 
 def minimax_count_formula(n: int, m: int) -> int:
@@ -134,7 +147,7 @@ def minimax_count_formula(n: int, m: int) -> int:
     """
     if n < 1 or not (1 <= m <= n):
         raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
-    return sum(stirling2(n - m, k - 1) * k ** (m - 1) for k in range(1, n - m + 2))
+    return _stirling_power_sum(n - m, m - 1)
 
 
 def maximin_count_formula(n: int, m: int) -> int:
@@ -147,7 +160,7 @@ def maximin_count_formula(n: int, m: int) -> int:
     """
     if n < 1 or not (1 <= m <= n):
         raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
-    return sum(stirling2(m - 1, k - 1) * k ** (n - m) for k in range(1, m + 1))
+    return _stirling_power_sum(m - 1, n - m)
 
 
 def k1_count_formula(n: int, m: int) -> int:
@@ -155,18 +168,17 @@ def k1_count_formula(n: int, m: int) -> int:
 
     For m >= 1 this is the inclusion-exclusion sum
     sum_{j=1}^{m} (-1)^(j+1) * C(m-1, j-1) * B(n-j) over forced singletons
-    below m.  The m = 0 value counts partitions with no singleton at all and
-    is the Bell-number complement of the m >= 1 column sums.
+    below m.  The m = 0 value counts partitions with no singleton at all,
+    sum_{j=0}^{n} (-1)^j * C(n, j) * B(n-j) by inclusion-exclusion over the
+    singletons; it is 1 at n = 0 (the empty partition).
     """
-    if n < 1 or not (0 <= m <= n):
-        raise InvalidParametersError(f"need 1 <= n and 0 <= m <= n, got n={n}, m={m}")
+    _check_pair(n, m)
+    b = bell_numbers(n)
     if m == 0:
-        return bell(n) - sum(k1_count_formula(n, mm) for mm in range(1, n + 1))
-    total = 0
-    for j in range(1, m + 1):
-        term = binomial(m - 1, j - 1) * bell(n - j)
-        total += term if j % 2 == 1 else -term
-    return total
+        terms = (math.comb(n, j) * b[n - j] for j in range(n + 1))
+    else:
+        terms = (math.comb(m - 1, j - 1) * b[n - j] for j in range(1, m + 1))
+    return sum(t if k % 2 == 0 else -t for k, t in enumerate(terms))
 
 
 def row_sum(n: int, memo: Optional[MemoStore] = None) -> int:
@@ -174,4 +186,5 @@ def row_sum(n: int, memo: Optional[MemoStore] = None) -> int:
     {1..n+1} is classified by its minimax vertex."""
     if n < 0:
         raise InvalidParametersError(f"n must be >= 0, got {n}")
-    return sum(comp_count_recursive(n, m, memo) for m in range(n + 1))
+    store = MemoStore() if memo is None else memo
+    return sum(comp_count_recursive(n, m, store) for m in range(n + 1))

@@ -1,22 +1,28 @@
 """Exact combinatorial number primitives: binomials, Stirling set numbers, Bell numbers.
 
-Every value is a plain Python int, so counts stay exact at any size.  The
-Stirling triangle (and the Bell row derived from it) is grown on demand and
-retained for the lifetime of the process; growth is serialized behind a lock,
-so identical inputs give identical outputs regardless of call interleaving.
+Every value is a plain Python int, so counts stay exact at any size.  Two
+tables are grown on demand and retained for the lifetime of the process: the
+Stirling triangle, row by row, and the Bell numbers, from the Bell (Aitken)
+triangle of which only the last row is kept.  Neither is derived from the
+other.  Growth is serialized behind a lock, so identical inputs give identical
+outputs regardless of call interleaving.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from itertools import accumulate
 
 from .errors import InvalidParametersError
 
 # _STIRLING[n][k] = number of partitions of an n-set into exactly k blocks.
-# Row 0 is [1]; _BELL[n] is the row sum.
+# Row 0 is [1].
 _STIRLING: list[list[int]] = [[1]]
+# _BELL[n] = number of partitions of an n-set.  _BELL_ROW is the last row of
+# the Bell triangle, the one that starts with _BELL[-1].
 _BELL: list[int] = [1]
+_BELL_ROW: list[int] = [1]
 _GROW_LOCK = threading.Lock()
 
 
@@ -28,8 +34,8 @@ def _require_natural(value: int, name: str) -> int:
     return value
 
 
-def _grow(n: int) -> None:
-    """Extend the triangle so that row n exists."""
+def _grow_stirling(n: int) -> None:
+    """Extend the Stirling triangle so that row n exists."""
     if len(_STIRLING) > n:
         return
     with _GROW_LOCK:
@@ -40,10 +46,23 @@ def _grow(n: int) -> None:
             for k in range(1, r):
                 row[k] = k * prev[k] + prev[k - 1]
             row[r] = 1
-            # _BELL first: the lock-free fast path above keys off _STIRLING,
-            # so _BELL[r] must already exist once row r becomes visible.
-            _BELL.append(sum(row))
             _STIRLING.append(row)
+
+
+def _grow_bell(n: int) -> None:
+    """Extend _BELL so that B(n) exists.
+
+    Each Bell-triangle row starts with the last entry of the row above, and
+    every further entry adds its left neighbour to the entry above that
+    neighbour; row r starts with B(r).
+    """
+    global _BELL_ROW
+    if len(_BELL) > n:
+        return
+    with _GROW_LOCK:
+        while len(_BELL) <= n:
+            _BELL_ROW = list(accumulate(_BELL_ROW, initial=_BELL_ROW[-1]))
+            _BELL.append(_BELL_ROW[0])
 
 
 def binomial(n: int, k: int) -> int:
@@ -63,19 +82,26 @@ def stirling2(n: int, k: int) -> int:
     _require_natural(k, "k")
     if k > n:
         return 0
-    _grow(n)
+    _grow_stirling(n)
     return _STIRLING[n][k]
 
 
 def stirling_row(n: int) -> tuple[int, ...]:
     """Row n of the Stirling triangle as (S(n,0), ..., S(n,n))."""
     _require_natural(n, "n")
-    _grow(n)
+    _grow_stirling(n)
     return tuple(_STIRLING[n])
 
 
 def bell(n: int) -> int:
-    """Number of set partitions of an n-element set (row sum of the triangle)."""
+    """Number of set partitions of an n-element set, from the Bell triangle."""
     _require_natural(n, "n")
-    _grow(n)
+    _grow_bell(n)
     return _BELL[n]
+
+
+def bell_numbers(n: int) -> tuple[int, ...]:
+    """(B(0), ..., B(n)), the Bell numbers up to n in one call."""
+    _require_natural(n, "n")
+    _grow_bell(n)
+    return tuple(_BELL[: n + 1])

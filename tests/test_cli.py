@@ -116,7 +116,7 @@ def test_every_route_agrees_with_the_default_route():
         for method, route in routes.items():
             if method == "paper-literal":
                 continue  # the documented erratum, checked on its own above
-            for n in range(1, 7):  # k1's formula route rejects n = 0
+            for n in range(7):
                 for m in range(n + 1):
                     values = [{"n": n, "m": m, "j": 2}[name] for name in params]
                     assert _outcome(route, *values) == _outcome(default, *values), (
@@ -357,6 +357,18 @@ def test_bfile_compare(tmp_path, capsys):
 
 def test_bfile_bad_range(capsys):
     assert run(capsys, "bfile", "rowsum", "--range", "abc")[0] == 2
+
+
+def test_bfile_negative_range_reaches_the_range_check(capsys):
+    for argv in (["--range", "-3..2"], ["--range=-3..2"]):
+        code, out, err = run(capsys, "bfile", "rowsum", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: range must start at 0 or above, got '-3..2'\n"
+
+
+def test_bfile_k1zero_from_zero(capsys):
+    code, out, _ = run(capsys, "bfile", "k1zero", "--range", "0..2")
+    assert code == 0 and out == "0 1\n1 0\n2 1\n"
 
 
 def test_parse_bfile_comments_and_values():

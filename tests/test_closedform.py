@@ -136,10 +136,17 @@ def test_k1_formula_examples():
     assert k1_count_formula(2, 2) == 0
     assert k1_count_formula(8, 8) == 162
     assert k1_count_formula(6, 0) == 41
-    with pytest.raises(InvalidParametersError):
-        k1_count_formula(0, 0)
+    assert k1_count_formula(0, 0) == 1
     with pytest.raises(InvalidParametersError):
         k1_count_formula(3, 4)
+
+
+def test_k1_columns_sum_to_bell():
+    # Every partition has a smallest singleton or none; the m = 0 column is
+    # computed on its own, not as the complement of the others.
+    for n in range(1, 81):
+        others = sum(k1_count_formula(n, m) for m in range(1, n + 1))
+        assert k1_count_formula(n, 0) + others == bell(n), n
 
 
 def test_k1_formula_matches_brute_force():
@@ -198,6 +205,25 @@ def test_memo_store_write_once():
     store.put(4, 2, 13)  # same value is fine
     with pytest.raises(ValueError):
         store.put(4, 2, 14)
+
+
+def test_recursion_over_one_store_matches_explicit_sum():
+    store = MemoStore()
+    for n in range(101):
+        for m in range(n + 1):
+            assert comp_count_recursive(n, m, memo=store) == comp_count_explicit(n, m), (n, m)
+    assert len(store) == sum(range(101))  # one cell per n > m
+    for n, m in ((100, 0), (100, 50), (77, 76), (64, 3)):
+        assert comp_count_recursive(n, m, memo=MemoStore()) == store.get(n, m), (n, m)
+
+
+def test_memo_store_inner_sums_follow_the_store():
+    store = MemoStore()
+    comp_count_recursive(20, 7, memo=store)
+    cells = len(store)
+    assert store._inner and len(store.items()) == cells
+    store.clear()
+    assert not store._inner and len(store) == 0
 
 
 def test_large_arguments_stay_exact():

@@ -1,11 +1,17 @@
 """Binomials, Stirling set numbers, and Bell numbers against independent oracles."""
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from conftest import enumerate_partitions, pascal_triangle
 
+import compolab
 from compolab import InvalidParametersError, bell, binomial, set_partitions, stirling2, stirling_row
+from compolab.numtheory import bell_numbers
 
 
 def test_binomial_examples():
@@ -61,6 +67,33 @@ def test_bell_examples():
 def test_stirling_rows_sum_to_bell():
     for n in range(26):
         assert sum(stirling_row(n)) == bell(n)
+
+
+def test_bell_triangle_matches_stirling_row_sums_to_300():
+    # bell() comes from the Bell triangle, stirling_row() from the Stirling
+    # triangle: two independent tables.
+    for n in range(301):
+        assert bell(n) == sum(stirling_row(n)), n
+
+
+def test_bell_numbers_prefix():
+    assert bell_numbers(0) == (1,)
+    assert bell_numbers(7) == (1, 1, 2, 5, 15, 52, 203, 877)
+    assert bell_numbers(120) == tuple(bell(n) for n in range(121))
+    with pytest.raises(InvalidParametersError):
+        bell_numbers(-1)
+
+
+def test_bell_keeps_no_stirling_triangle():
+    env = dict(os.environ, PYTHONPATH=str(Path(compolab.__file__).resolve().parents[1]))
+    code = (
+        "from compolab import bell, numtheory\n"
+        "bell(400)\n"
+        "print(len(numtheory._STIRLING), len(numtheory._BELL_ROW))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["1", "401"]
 
 
 def test_bell_recurrence():
