@@ -489,13 +489,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except BrokenPipeError:
-        # The reader left early (say, `| head`).  Point stdout at devnull so
-        # the interpreter's final flush of buffered output cannot fail again.
+    except OSError as exc:
+        # Say, the reader left early (`| head`) or the device is full.  Point stdout
+        # at devnull so the interpreter's final flush cannot fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print("error: stdout was closed before the output ended", file=sys.stderr)
+        print(f"error: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
         if digit_limit is not None:

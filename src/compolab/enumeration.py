@@ -6,6 +6,10 @@ use, and each entry exceeds the running prefix maximum by at most one.  Streams
 are yielded in lexicographic RGS order, which fixes a canonical, testable
 enumeration order.
 
+One walker, ``_block_stream``, yields that order with every block kept in place
+as a bitset of positions: ``bit_length`` is a block's largest label and
+``bit_count`` its size.  Objects the streams build skip the public checks.
+
 Counting operations enumerate every partition and filter — no closed forms are
 consulted here, so these routines can serve as independent oracles for them.
 A cap (default 12) guards against accidentally starting Bell(20)-scale runs.
@@ -127,6 +131,14 @@ class Partition:
         )
 
 
+def _trusted(cls, **fields):
+    """An immutable ``cls`` built from fields already known to be valid; no checks run."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class Composition:
     """A partition of a graph's vertex set whose blocks all induce connected subgraphs."""
@@ -144,26 +156,51 @@ class Composition:
         return str(self.partition)
 
 
-def _rgs_stream(n: int) -> Iterator[list[int]]:
-    """Yield every RGS of length n in lexicographic order, reusing one list."""
-    if n == 0:
-        yield []
+def _block_stream(n: int, prefix: Sequence[int] = ()) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield (rgs, blocks) for every RGS of length n that extends prefix, in lexicographic order.
+
+    Both lists change in place and the same tuple is yielded each time.
+    ``blocks[b]`` is the position bitset of block b; later slots, and slot n, are 0.
+    """
+    fixed = len(prefix)
+    rgs = list(prefix) + [0] * (n - fixed)
+    blocks = [0] * (n + 1)
+    # opened[i] = number of blocks used by rgs[:i]; position i may hold 0..opened[i]
+    opened = [0] * n
+    top = 0
+    for v, b in enumerate(rgs):
+        blocks[b] |= 1 << v
+        opened[v] = top
+        top = max(top, b + 1)
+    state = (rgs, blocks)
+    yield state
+    if fixed == n:
         return
-    rgs = [0] * n
-    # prefix_max[i] = max(rgs[0..i-1]); position i may be raised while rgs[i] <= prefix_max[i]
-    prefix_max = [0] * n
+    last = n - 1
+    last_bit = 1 << last
     while True:
-        yield rgs
-        i = n - 1
-        while i > 0 and rgs[i] > prefix_max[i]:
+        # Most steps move only the last position, and need no reset.
+        for b in range(rgs[last], opened[last]):
+            blocks[b] ^= last_bit
+            blocks[b + 1] |= last_bit
+            rgs[last] = b + 1
+            yield state
+        i = last - 1
+        while i >= fixed and rgs[i] == opened[i]:
             i -= 1
-        if i == 0:
+        if i < fixed:
             return
-        rgs[i] += 1
-        high = prefix_max[i] if prefix_max[i] > rgs[i] else rgs[i]
-        for j in range(i + 1, n):
-            rgs[j] = 0
-            prefix_max[j] = high
+        b = rgs[i]
+        blocks[b] ^= 1 << i
+        blocks[b + 1] |= 1 << i
+        rgs[i] = b + 1
+        high = max(opened[i], b + 2)
+        for v in range(i + 1, n):
+            blocks[rgs[v]] ^= 1 << v
+            rgs[v] = 0
+            opened[v] = high
+        blocks[0] |= (1 << n) - (2 << i)
+        yield state
 
 
 def partitions_of(labels: Iterable[int], cap: Optional[int] = None) -> Iterator[Partition]:
@@ -174,8 +211,8 @@ def partitions_of(labels: Iterable[int], cap: Optional[int] = None) -> Iterator[
 
 
 def _partition_stream(ground: tuple[int, ...]) -> Iterator[Partition]:
-    for rgs in _rgs_stream(len(ground)):
-        yield Partition(ground, rgs)
+    for rgs, _ in _block_stream(len(ground)):
+        yield _trusted(Partition, labels=ground, rgs=tuple(rgs))
 
 
 def set_partitions(n: int, cap: Optional[int] = None) -> Iterator[Partition]:
@@ -203,16 +240,16 @@ def compositions(g: LabelledGraph, cap: Optional[int] = None) -> Iterator[Compos
 
 
 def _composition_stream(g: LabelledGraph, conn: Sequence[int]) -> Iterator[Composition]:
-    """Filter the RGS stream by block connectivity; build objects only for hits."""
+    """Filter the block stream by connectivity; build objects only for hits."""
     labels = g.labels
-    n = len(labels)
-    for rgs in _rgs_stream(n):
-        blocks = [0] * n
-        for v, b in enumerate(rgs):
-            blocks[b] |= 1 << v
-        # Unused trailing entries stay 0, and conn[0] is true.
-        if all(conn[mask] for mask in blocks):
-            yield Composition(g, Partition(labels, rgs))
+    for rgs, blocks in _block_stream(len(labels)):
+        for mask in blocks:
+            if not mask:
+                partition = _trusted(Partition, labels=labels, rgs=tuple(rgs))
+                yield _trusted(Composition, graph=g, partition=partition)
+                break
+            if not conn[mask]:
+                break
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +276,6 @@ def _connectivity_table(padj: list[int]) -> Sequence[int]:
     if n > _EAGER_CONN_LIMIT:
         return _LazyConnectivity(padj)
     table = bytearray(1 << n)
-    table[0] = 1  # the empty set; _composition_stream tests unused block slots
     for mask in range(1, 1 << n):
         table[mask] = mask_connected(mask, padj)
     return table
@@ -261,56 +297,26 @@ class _LazyConnectivity:
         return got
 
 
-def _count_extensions(
-    n: int, conn: Sequence[int], prefix: Sequence[int]
-) -> int:
-    """Count partitions that extend a fixed RGS prefix and have all blocks connected.
-
-    Enumerates every completion of the prefix (one leaf per partition) and
-    filters by per-block connectivity at the leaves.
-    """
-    blocks = [0] * (n + 1)
-    used = 0
-    for v, b in enumerate(prefix):
-        blocks[b] |= 1 << v
-        if b + 1 > used:
-            used = b + 1
+def _count_extensions(n: int, conn: Sequence[int], prefix: Sequence[int]) -> int:
+    """Count the partitions that extend an RGS prefix and have every block connected."""
     count = 0
-
-    def descend(v: int, used: int) -> None:
-        nonlocal count
-        if v == n:
-            for index in range(used):
-                if not conn[blocks[index]]:
-                    return
-            count += 1
-            return
-        bit = 1 << v
-        for index in range(used):
-            blocks[index] |= bit
-            descend(v + 1, used)
-            blocks[index] ^= bit
-        blocks[used] = bit
-        descend(v + 1, used + 1)
-        blocks[used] = 0
-
-    descend(len(prefix), used)
+    for _, blocks in _block_stream(n, prefix):
+        for mask in blocks:
+            if not mask:
+                count += 1
+                break
+            if not conn[mask]:
+                break
     return count
-
-
-def _count_task(args: tuple[int, Sequence[int], tuple[int, ...]]) -> int:
-    n, conn, prefix = args
-    return _count_extensions(n, conn, prefix)
 
 
 def _split_prefixes(n: int, workers: int) -> list[tuple[int, ...]]:
     """RGS prefixes partitioning the search space into at least ~4x workers chunks."""
-    length = 1
-    total = 1
-    while length < n and total < 4 * workers:
+    length, prefixes = 1, [(0,)]
+    while length < n and len(prefixes) < 4 * workers:
         length += 1
-        total = sum(1 for _ in _rgs_stream(length))
-    return [tuple(r) for r in _rgs_stream(length)]
+        prefixes = [tuple(rgs) for rgs, _ in _block_stream(length)]
+    return prefixes
 
 
 def composition_count_brute(
@@ -330,7 +336,7 @@ def composition_count_brute(
         return _count_extensions(n, conn, ())
     tasks = [(n, conn, prefix) for prefix in _split_prefixes(n, workers)]
     with multiprocessing.Pool(workers) as pool:
-        return sum(pool.map(_count_task, tasks))
+        return sum(pool.starmap(_count_extensions, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +375,14 @@ def minimax_count_brute(n: int, m: int, cap: Optional[int] = None) -> int:
         raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
     _check_cap(n, cap)
     count = 0
-    last_position = [0] * n
-    for rgs in _rgs_stream(n):
-        top = -1
-        for v, b in enumerate(rgs):
-            if b > top:
-                top = b
-            last_position[b] = v
-        stat = min(last_position[: top + 1]) + 1
+    for _, blocks in _block_stream(n):
+        stat = n
+        for mask in blocks:
+            if not mask:
+                break
+            top = mask.bit_length()
+            if top < stat:
+                stat = top
         if stat == m:
             count += 1
     return count
@@ -395,23 +401,15 @@ def kj_count_brute(n: int, m: int, j: int, cap: Optional[int] = None) -> int:
         raise InvalidParametersError(f"need 0 <= m <= n, got n={n}, m={m}")
     _check_cap(n, cap)
     count = 0
-    last_position = [0] * n
-    sizes = [0] * n
-    for rgs in _rgs_stream(n):
-        top = -1
-        for v, b in enumerate(rgs):
-            if b > top:
-                top = b
-                sizes[b] = 1
-            else:
-                sizes[b] += 1
-            last_position[b] = v
+    for _, blocks in _block_stream(n):
         stat = 0
-        for b in range(top + 1):
-            if sizes[b] <= j:
-                candidate = last_position[b] + 1
-                if stat == 0 or candidate < stat:
-                    stat = candidate
+        for mask in blocks:
+            if not mask:
+                break
+            if mask.bit_count() <= j:
+                top = mask.bit_length()
+                if stat == 0 or top < stat:
+                    stat = top
         if stat == m:
             count += 1
     return count

@@ -3,9 +3,9 @@
 Every value is a plain Python int, so counts stay exact at any size.  Two
 tables are grown on demand and retained for the lifetime of the process: the
 Stirling triangle, row by row, and the Bell numbers, from the Bell (Aitken)
-triangle of which only the last row is kept.  Neither is derived from the
-other.  Growth is serialized behind a lock, so identical inputs give identical
-outputs regardless of call interleaving.
+triangle of which only the last row is kept; a single Stirling number reads
+neither.  Growth is serialized behind a lock, so identical inputs give
+identical outputs regardless of call interleaving.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _require_natural(value: int, name: str) -> int:
 
 
 def _grow_stirling(n: int) -> None:
-    """Extend the Stirling triangle so that row n exists."""
+    """Extend the Stirling triangle, by S(r, k) = k*S(r-1, k) + S(r-1, k-1), to row n."""
     if len(_STIRLING) > n:
         return
     with _GROW_LOCK:
@@ -75,19 +75,19 @@ def binomial(n: int, k: int) -> int:
 def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into exactly k nonempty blocks.
 
-    Zero when k > n.  Values come from the memoized triangle built with the
-    recurrence S(n, k) = k*S(n-1, k) + S(n-1, k-1).
+    Zero when k > n.  One value is the alternating sum
+    S(n, k) = sum_j (-1)^j C(k, j) (k - j)^n / k!, so no table is grown.
     """
     _require_natural(n, "n")
     _require_natural(k, "k")
     if k > n:
         return 0
-    _grow_stirling(n)
-    return _STIRLING[n][k]
+    total = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+    return total // math.factorial(k)
 
 
 def stirling_row(n: int) -> tuple[int, ...]:
-    """Row n of the Stirling triangle as (S(n,0), ..., S(n,n))."""
+    """Row n of the memoized Stirling triangle as (S(n,0), ..., S(n,n))."""
     _require_natural(n, "n")
     _grow_stirling(n)
     return tuple(_STIRLING[n])

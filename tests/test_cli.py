@@ -2,6 +2,7 @@
 
 import argparse
 import decimal
+import errno
 import io
 import json
 import math
@@ -153,6 +154,29 @@ def test_broken_pipe_exits_2(monkeypatch, capsys):
     try:
         monkeypatch.setattr(sys, "stdout", _ClosedPipe(write_end))
         code = main(["table", "comp", "--max-n", "6"])
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class _FullDevice(_ClosedPipe):
+    """A stdout on a full device: every write and flush fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_full_device_exits_2(monkeypatch, capsys):
+    read_end, write_end = os.pipe()
+    try:
+        monkeypatch.setattr(sys, "stdout", _FullDevice(write_end))
+        code = main(["value", "bell", "-n", "5"])
     finally:
         os.close(read_end)
         os.close(write_end)

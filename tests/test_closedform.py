@@ -194,7 +194,8 @@ def test_memo_store_soundness():
     store.clear()
     assert len(store) == 0
     assert comp_count_recursive(12, 5, memo=store) == first
-    # Distinct stores agree with each other and with the shared default.
+    # Distinct stores agree with each other and with the fresh store that
+    # memo=None gives each call.
     assert comp_count_recursive(12, 5, memo=MemoStore()) == first
     assert comp_count_recursive(12, 5) == first
 

@@ -25,6 +25,7 @@ from compolab import (
     partitions_of,
     set_partitions,
 )
+from compolab.enumeration import _block_stream
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +59,14 @@ def test_partition_rejects_bad_input():
         Partition.from_blocks([{1}, {1, 2}])  # overlap
     with pytest.raises(InvalidParametersError):
         Partition.from_blocks([set()])  # empty block
+
+
+def test_streamed_partitions_equal_checked_ones():
+    # The stream builds its partitions without Partition's checks; the public
+    # constructor, checks included, must give equal objects.
+    for n in range(9):
+        for p in set_partitions(n):
+            assert Partition(p.labels, p.rgs) == p
 
 
 def test_partition_is_immutable_and_hashable():
@@ -99,6 +108,22 @@ def test_set_partitions_match_independent_oracle():
         ours = {blocks_of(p) for p in set_partitions(n)}
         oracle = set(enumerate_partitions(range(1, n + 1)))
         assert ours == oracle
+
+
+def test_block_stream_blocks_and_prefix_streams():
+    for n in range(10):
+        full = []
+        for rgs, blocks in _block_stream(n):
+            rebuilt = [0] * (n + 1)
+            for v, b in enumerate(rgs):
+                rebuilt[b] |= 1 << v
+            assert blocks == rebuilt, rgs
+            full.append(tuple(rgs))
+        assert len(full) == bell(n)
+        for length in range(n + 1):
+            prefixes = sorted({rgs[:length] for rgs in full})
+            joined = [tuple(rgs) for prefix in prefixes for rgs, _ in _block_stream(n, prefix)]
+            assert joined == full, (n, length)
 
 
 def test_partitions_of_arbitrary_labels():
@@ -233,6 +258,7 @@ def test_compositions_match_filtered_partitions_on_random_graphs():
             if all(bfs_connected(edges, block) for block in p.blocks())
         ]
         assert [c.partition for c in compositions(g)] == expected
+        assert all(is_composition(g, c.partition) for c in compositions(g))
     with pytest.raises(ResourceLimitError):
         compositions(complete(13))  # raised by the call, before any next()
 

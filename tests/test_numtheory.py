@@ -58,6 +58,25 @@ def test_stirling_recurrence_consistency():
             assert row[k] == k * prev[k] + prev[k - 1]
 
 
+def test_stirling2_matches_the_triangle_row():
+    for n in range(151):
+        row = stirling_row(n)
+        for k in range(n + 1):
+            assert stirling2(n, k) == row[k], (n, k)
+
+
+def test_stirling2_keeps_no_triangle():
+    env = dict(os.environ, PYTHONPATH=str(Path(compolab.__file__).resolve().parents[1]))
+    code = (
+        "from compolab import numtheory, stirling2\n"
+        "stirling2(400, 200)\n"
+        "print(len(numtheory._STIRLING))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["1"]
+
+
 def test_bell_examples():
     assert bell(0) == 1
     assert bell(6) == 203
