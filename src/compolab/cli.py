@@ -196,24 +196,27 @@ def _verify_rowsum(n_max: int, args, store: MemoStore) -> list[tuple[str, bool]]
     return checks
 
 
-def _verify_threeway(n_max: int, args, store: MemoStore) -> list[tuple[str, bool]]:
+def _agreement(args, store: MemoStore, kind: str, cells, extra=lambda *cell: ()):
+    """One check per cell: every method of ``ROUTES[kind]`` except the
+    documented erratum, in table order and called as `value` calls it, after
+    ``extra(*cell)``'s leading terms; the check passes when all values agree."""
+    routes = [(method, route) for method, route in ROUTES[kind][1].items()
+              if method != "paper-literal"]
     checks = []
-    for n in range(n_max + 1):
-        for m in range(n + 1):
-            rec = closedform.comp_count_recursive(n, m, memo=store)
-            exp = closedform.comp_count_explicit(n, m)
-            brute = enumeration.composition_count_brute(
-                graphs.complete_minus_clique(n, m),
-                cap=args.max_brute_n,
-                workers=args.workers,
-            )
-            checks.append(
-                (
-                    f"comp({n},{m}): recursive={rec} explicit={exp} brute={brute}",
-                    rec == exp == brute,
-                )
-            )
+    for cell in cells:
+        terms = [*extra(*cell)]
+        terms += [(method, route(args, store, *cell)) for method, route in routes]
+        checks.append((
+            f"{kind}({','.join(map(str, cell))}): "
+            + " ".join(f"{method}={value}" for method, value in terms),
+            len({value for _, value in terms}) == 1,
+        ))
     return checks
+
+
+def _verify_threeway(n_max: int, args, store: MemoStore) -> list[tuple[str, bool]]:
+    cells = [(n, m) for n in range(n_max + 1) for m in range(n + 1)]
+    return _agreement(args, store, "comp", cells)
 
 
 def _verify_bijection(n_max: int, args, store: MemoStore) -> list[tuple[str, bool]]:
@@ -234,32 +237,16 @@ def _verify_bijection(n_max: int, args, store: MemoStore) -> list[tuple[str, boo
 
 
 def _verify_k1(n_max: int, args, store: MemoStore) -> list[tuple[str, bool]]:
-    checks = []
-    for n in range(1, n_max + 1):
-        for m in range(n + 1):
-            formula = closedform.k1_count_formula(n, m)
-            brute = enumeration.kj_count_brute(n, m, 1, cap=args.max_brute_n)
-            checks.append(
-                (f"k1({n},{m}): formula={formula} brute={brute}", formula == brute)
-            )
-    return checks
+    cells = [(n, m) for n in range(1, n_max + 1) for m in range(n + 1)]
+    return _agreement(args, store, "k1", cells)
 
 
 def _verify_reflection(n_max: int, args, store: MemoStore) -> list[tuple[str, bool]]:
-    checks = []
-    for n in range(1, n_max + 1):
-        for m in range(1, n + 1):
-            maximin = closedform.maximin_count_formula(n, n + 1 - m)
-            formula = closedform.minimax_count_formula(n, m)
-            brute = enumeration.minimax_count_brute(n, m, cap=args.max_brute_n)
-            checks.append(
-                (
-                    f"minimax({n},{m}): reflected-maximin={maximin} "
-                    f"formula={formula} brute={brute}",
-                    maximin == formula == brute,
-                )
-            )
-    return checks
+    cells = [(n, m) for n in range(1, n_max + 1) for m in range(1, n + 1)]
+    return _agreement(
+        args, store, "minimax", cells,
+        extra=lambda n, m: [("reflected-maximin", closedform.maximin_count_formula(n, n + 1 - m))],
+    )
 
 
 _SUITES: dict[str, Callable] = {
@@ -302,13 +289,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # enumerate
 # ---------------------------------------------------------------------------
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    path = Path(args.graph_file)
+def _read_text(path: str) -> str:
+    """A UTF-8 input file's text; one that cannot be read or decoded is malformed input."""
     try:
-        text = path.read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
-    g = graphs.parse_graph_file(text)
+
+
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    g = graphs.parse_graph_file(_read_text(args.graph_file))
     for comp in enumeration.compositions(g, cap=args.max_brute_n):
         print(comp)
     return EXIT_OK
@@ -352,6 +342,7 @@ def parse_bfile(text: str) -> dict[int, int]:
 
 def cmd_bfile(args: argparse.Namespace) -> int:
     start, end = _parse_range(args.range)
+    reference = None if args.compare is None else parse_bfile(_read_text(args.compare))
     store = MemoStore()
     terms: list[tuple[int, int]] = []
     for index in range(start, end + 1):
@@ -361,12 +352,8 @@ def cmd_bfile(args: argparse.Namespace) -> int:
             terms.append((index, closedform.k1_count_formula(index, 0)))
     for index, value in terms:
         print(f"{index} {value}")
-    if args.compare is None:
+    if reference is None:
         return EXIT_OK
-    try:
-        reference = parse_bfile(Path(args.compare).read_text())
-    except OSError as exc:
-        raise MalformedInputError(f"cannot read {args.compare}: {exc}") from exc
     mismatches = 0
     for index, value in terms:
         if index not in reference:

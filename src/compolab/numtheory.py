@@ -2,10 +2,11 @@
 
 Every value is a plain Python int, so counts stay exact at any size.  Two
 tables are grown on demand and retained for the lifetime of the process: the
-Stirling triangle, row by row, and the Bell numbers, from the Bell (Aitken)
-triangle of which only the last row is kept; a single Stirling number reads
-neither.  Growth is serialized behind a lock, so identical inputs give
-identical outputs regardless of call interleaving.
+Stirling rows that were asked for, each built forward from the highest kept
+row below it, and the Bell numbers, from the Bell (Aitken) triangle of which
+only the last row is kept; a single Stirling number reads neither.  Growth is
+serialized behind a lock, so identical inputs give identical outputs
+regardless of call interleaving.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from itertools import accumulate
 
 from .errors import InvalidParametersError
 
-# _STIRLING[n][k] = number of partitions of an n-set into exactly k blocks.
-# Row 0 is [1].
-_STIRLING: list[list[int]] = [[1]]
+# _STIRLING[n][k] = number of partitions of an n-set into exactly k blocks,
+# for the rows n that were asked for.  Row 0 is [1] and always kept.
+_STIRLING: dict[int, list[int]] = {0: [1]}
 # _BELL[n] = number of partitions of an n-set.  _BELL_ROW is the last row of
 # the Bell triangle, the one that starts with _BELL[-1].
 _BELL: list[int] = [1]
@@ -35,18 +36,19 @@ def _require_natural(value: int, name: str) -> int:
 
 
 def _grow_stirling(n: int) -> None:
-    """Extend the Stirling triangle, by S(r, k) = k*S(r-1, k) + S(r-1, k-1), to row n."""
-    if len(_STIRLING) > n:
+    """Keep Stirling row n, built by S(r, k) = k*S(r-1, k) + S(r-1, k-1) from
+    the highest kept row below it; the rows in between are not kept."""
+    if n in _STIRLING:
         return
     with _GROW_LOCK:
-        while len(_STIRLING) <= n:
-            prev = _STIRLING[-1]
-            r = len(_STIRLING)
-            row = [0] * (r + 1)
-            for k in range(1, r):
-                row[k] = k * prev[k] + prev[k - 1]
-            row[r] = 1
-            _STIRLING.append(row)
+        if n in _STIRLING:
+            return
+        r = max(k for k in _STIRLING if k < n)
+        row = _STIRLING[r]
+        while r < n:
+            r += 1
+            row = [0] + [k * row[k] + row[k - 1] for k in range(1, r)] + [1]
+        _STIRLING[n] = row
 
 
 def _grow_bell(n: int) -> None:
@@ -87,7 +89,7 @@ def stirling2(n: int, k: int) -> int:
 
 
 def stirling_row(n: int) -> tuple[int, ...]:
-    """Row n of the memoized Stirling triangle as (S(n,0), ..., S(n,n))."""
+    """Row n of the Stirling triangle as (S(n,0), ..., S(n,n)); the row is kept."""
     _require_natural(n, "n")
     _grow_stirling(n)
     return tuple(_STIRLING[n])

@@ -6,6 +6,7 @@ from compolab import (
     InvalidParametersError,
     Partition,
     backward,
+    bijection,
     comp_count_recursive,
     complete_minus_clique,
     forward,
@@ -118,3 +119,15 @@ def test_round_trip_on_every_minimax_class():
             v = minimax_vertex(p)
             image = forward(p)
             assert backward(image, n - 1, v - 1) == p
+
+
+def test_verify_builds_the_target_graph_once(monkeypatch):
+    calls = []
+
+    def counting(n, m):
+        calls.append((n, m))
+        return target_graph(n, m)
+
+    monkeypatch.setattr(bijection, "target_graph", counting)
+    assert verify(5, 2).ok
+    assert calls == [(5, 2)]

@@ -281,6 +281,21 @@ def test_verify_reports_each_identity(capsys):
     assert all(line.startswith("ok") for line in lines[:-1])
 
 
+def test_agreement_suite_takes_every_route_of_its_kind(monkeypatch, capsys):
+    # A route added to ROUTES joins its kind's suite with no more wiring.
+    monkeypatch.setitem(
+        ROUTES["comp"][1], "off-by-one",
+        lambda a, memo, n, m: comp_count_recursive(n, m) + (n == 2),
+    )
+    code, out, _ = run(capsys, "verify", "threeway", "--n-max", "3")
+    assert code == 1
+    lines = out.strip().splitlines()[:-1]
+    assert len(lines) == 10
+    for line in lines:
+        assert "off-by-one=" in line
+        assert line.startswith("FAIL") == line.split()[1].startswith("comp(2,"), line
+
+
 def test_verify_brute_suite_respects_cap(capsys):
     code, _, _ = run(capsys, "verify", "threeway", "--n-max", "13")
     assert code == 3
@@ -322,6 +337,16 @@ def test_enumerate_malformed_file(tmp_path, capsys):
     f.write_text("n 2\n1 1\n")
     assert run(capsys, "enumerate", str(f))[0] == 2
     assert run(capsys, "enumerate", str(tmp_path / "missing.graph"))[0] == 2
+
+
+def test_non_utf8_input_files_exit_2(tmp_path, capsys):
+    f = tmp_path / "binary"
+    f.write_bytes(b"\xff\xfe\x00n 3\n")
+    for argv in (["enumerate", str(f)],
+                 ["bfile", "rowsum", "--range", "0..3", "--compare", str(f)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
 
 
 def test_enumerate_takes_no_workers(tmp_path):
@@ -376,7 +401,12 @@ def test_bfile_compare(tmp_path, capsys):
 
     malformed = tmp_path / "malformed.b"
     malformed.write_text("0 1 extra\n")
-    assert run(capsys, "bfile", "rowsum", "--range", "0..3", "--compare", str(malformed))[0] == 2
+    code, out, _ = run(capsys, "bfile", "rowsum", "--range", "0..3", "--compare", str(malformed))
+    assert code == 2 and out == ""
+
+    code, out, _ = run(capsys, "bfile", "rowsum", "--range", "0..3",
+                       "--compare", str(tmp_path / "missing.b"))
+    assert code == 2 and out == ""
 
 
 def test_bfile_bad_range(capsys):

@@ -77,6 +77,18 @@ def test_stirling2_keeps_no_triangle():
     assert out.split() == ["1"]
 
 
+def test_explicit_sum_keeps_only_the_rows_it_asked_for():
+    env = dict(os.environ, PYTHONPATH=str(Path(compolab.__file__).resolve().parents[1]))
+    code = (
+        "from compolab import comp_count_explicit, numtheory\n"
+        "comp_count_explicit(400, 0)\n"
+        "print(len(numtheory._STIRLING))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert int(out) <= 2
+
+
 def test_bell_examples():
     assert bell(0) == 1
     assert bell(6) == 203
