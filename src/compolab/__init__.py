@@ -35,6 +35,7 @@ from .enumeration import (
 )
 from .errors import (
     CompolabError,
+    InconsistentResultError,
     InvalidParametersError,
     MalformedInputError,
     ResourceLimitError,
@@ -60,6 +61,7 @@ __all__ = [
     "BijectionReport",
     "Composition",
     "CompolabError",
+    "InconsistentResultError",
     "InvalidParametersError",
     "LabelledGraph",
     "MalformedInputError",

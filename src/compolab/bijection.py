@@ -6,13 +6,14 @@ what remains is a composition of the graph on {1..n+1} minus v in which the
 prefix {1..m} is independent.  Deleting v scatters its block-mates (all of
 them lie in the prefix) into singletons; re-inserting v merges it with exactly
 the prefix singletons.  ``verify`` realizes both directions and checks them
-pointwise and exhaustively — round trips, injectivity, and matching counts.
+pointwise and exhaustively — round trips, injectivity, and matching counts;
+``verify_row`` checks every m of one n from a single walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .enumeration import (
     Partition,
@@ -110,41 +111,59 @@ def verify(n: int, m: int, cap: Optional[int] = None) -> BijectionReport:
     """
     if n < 0 or m < 0 or m > n:
         raise InvalidParametersError(f"need 0 <= m <= n, got n={n}, m={m}")
-    g = target_graph(n, m)
-    v = m + 1
-    prefix_mask = label_mask(range(1, m + 1))
-    ok = True
-    images: set[Partition] = set()
-    lhs_count = 0
+    return _verify_cells(n, [m], cap)[0]
+
+
+def verify_row(n: int, cap: Optional[int] = None) -> list[BijectionReport]:
+    """``verify(n, m)`` for every m = 0..n, from one walk over the partitions of {1..n+1}."""
+    if n < 0:
+        raise InvalidParametersError(f"need n >= 0, got n={n}")
+    return _verify_cells(n, range(n + 1), cap)
+
+
+def _verify_cells(n: int, ms: Iterable[int], cap: Optional[int]) -> list[BijectionReport]:
+    """The reports of the cells (n, m), m in ms: one walk over the partitions
+    of {1..n+1} hands each to the cell of its minimax vertex."""
+    graphs = {m: target_graph(n, m) for m in ms}
+    failed: set[int] = set()
+    images: dict[int, set[tuple[int, ...]]] = {m: set() for m in graphs}
+    lhs_counts = dict.fromkeys(graphs, 0)
     for p in set_partitions(n + 1, cap=cap):
-        if minimax_vertex(p) != v:
+        v = minimax_vertex(p)
+        m = v - 1
+        if m not in graphs:
             continue
-        lhs_count += 1
+        lhs_counts[m] += 1
+        prefix_mask = label_mask(range(1, v))
         # Structural facts forced by the minimax choice: no block may sit
         # entirely inside the independent prefix, and the block of v contains
         # nothing above the prefix except v itself.
         for block_mask in p.block_bitsets():
             if block_mask & ~prefix_mask == 0:
-                ok = False
+                failed.add(m)
             if (block_mask >> v) & 1 and block_mask & ~prefix_mask != 1 << v:
-                ok = False
+                failed.add(m)
         image = forward(p, expected_minimax=v)
+        g = graphs[m]
         if label_mask(image.labels) != g.vertex_mask or not is_composition(g, image):
-            ok = False
+            failed.add(m)
         elif _insert(image, m) != p:
-            ok = False
-        images.add(image)
-    rhs_count = 0
-    for comp in compositions(g, cap=cap):
-        rhs_count += 1
-        back = _insert(comp.partition, m)
-        if minimax_vertex(back) != v or forward(back) != comp.partition:
-            ok = False
-    return BijectionReport(
-        n=n,
-        m=m,
-        lhs_count=lhs_count,
-        rhs_count=rhs_count,
-        round_trip_ok=ok,
-        injective_ok=len(images) == lhs_count,
-    )
+            failed.add(m)
+        images[m].add(image.rgs)  # its labels are {1..n+1} minus v: the RGS names it
+    reports = []
+    for m, g in graphs.items():
+        rhs_count = 0
+        for comp in compositions(g, cap=cap):
+            rhs_count += 1
+            back = _insert(comp.partition, m)
+            if minimax_vertex(back) != m + 1 or forward(back) != comp.partition:
+                failed.add(m)
+        reports.append(BijectionReport(
+            n=n,
+            m=m,
+            lhs_count=lhs_counts[m],
+            rhs_count=rhs_count,
+            round_trip_ok=m not in failed,
+            injective_ok=len(images[m]) == lhs_counts[m],
+        ))
+    return reports

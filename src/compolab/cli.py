@@ -16,7 +16,12 @@ from typing import Callable, Optional
 
 from . import bijection, closedform, enumeration, graphs, numtheory
 from .closedform import MemoStore
-from .errors import InvalidParametersError, MalformedInputError, ResourceLimitError
+from .errors import (
+    InconsistentResultError,
+    InvalidParametersError,
+    MalformedInputError,
+    ResourceLimitError,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -222,8 +227,8 @@ def _verify_threeway(n_max: int, args, store: MemoStore) -> list[tuple[str, bool
 def _verify_bijection(n_max: int, args, store: MemoStore) -> list[tuple[str, bool]]:
     checks = []
     for n in range(n_max + 1):
-        for m in range(n + 1):
-            report = bijection.verify(n, m, cap=args.max_brute_n)
+        for report in bijection.verify_row(n, cap=args.max_brute_n):
+            m = report.m
             expected = closedform.comp_count_recursive(n, m, memo=store)
             checks.append(
                 (
@@ -476,6 +481,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except InconsistentResultError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     except OSError as exc:
         # Say, the reader left early (`| head`) or the device is full.  Point stdout
         # at devnull so the interpreter's final flush cannot fail again.

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .errors import InvalidParametersError
+from .errors import InconsistentResultError, InvalidParametersError
 from .numtheory import bell_numbers, stirling_row
 
 
@@ -54,7 +54,7 @@ class MemoStore:
         key = (n, m)
         existing = self._table.get(key)
         if existing is not None and existing != value:
-            raise ValueError(
+            raise InconsistentResultError(
                 f"memo cell {key} already holds {existing}, refusing to store {value}"
             )
         self._table[key] = value

@@ -10,9 +10,13 @@ One walker, ``_block_stream``, yields that order with every block kept in place
 as a bitset of positions: ``bit_length`` is a block's largest label and
 ``bit_count`` its size.  Objects the streams build skip the public checks.
 
-Counting operations enumerate every partition and filter — no closed forms are
-consulted here, so these routines can serve as independent oracles for them.
-A cap (default 12) guards against accidentally starting Bell(20)-scale runs.
+The counters walk the partitions of all labels but the last and score every
+placement of the last label (its own singleton, or a join to each block) from
+one pass over the blocks, so they visit Bell(n - 1) partitions instead of
+Bell(n).  Each placement is still decided from the blocks and the connectivity
+table alone — no closed forms are consulted here, so these routines can serve
+as independent oracles for them.  A cap (default 12) guards against
+accidentally starting Bell(20)-scale runs.
 """
 
 from __future__ import annotations
@@ -299,14 +303,25 @@ class _LazyConnectivity:
 
 def _count_extensions(n: int, conn: Sequence[int], prefix: Sequence[int]) -> int:
     """Count the partitions that extend an RGS prefix and have every block connected."""
+    if len(prefix) == n:  # n = 0, or the prefix places the last position too
+        _, blocks = next(_block_stream(n, prefix))
+        return int(all(conn[mask] for mask in blocks if mask))
+    # The singleton always counts, and each join to a connected block b with
+    # conn[b | last_bit]; one disconnected block leaves only the join to it.
+    last_bit = 1 << (n - 1)
     count = 0
-    for _, blocks in _block_stream(n, prefix):
+    for _, blocks in _block_stream(n - 1, prefix):
+        joins, broken = 1, 0
         for mask in blocks:
             if not mask:
-                count += 1
+                count += conn[broken | last_bit] if broken else joins
                 break
-            if not conn[mask]:
+            if conn[mask]:
+                joins += conn[mask | last_bit]
+            elif broken:
                 break
+            else:
+                broken = mask
     return count
 
 
@@ -374,17 +389,20 @@ def minimax_count_brute(n: int, m: int, cap: Optional[int] = None) -> int:
     if n < 1 or not (1 <= m <= n):
         raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
     _check_cap(n, cap)
+    # With t1 < t2 the two smallest tops of the k blocks (n if missing), only
+    # the join to t1's block moves the statistic, to t2.
     count = 0
-    for _, blocks in _block_stream(n):
-        stat = n
-        for mask in blocks:
+    for _, blocks in _block_stream(n - 1):
+        t1 = t2 = n
+        for k, mask in enumerate(blocks):
             if not mask:
+                count += k * (t1 == m) + (t2 == m)
                 break
             top = mask.bit_length()
-            if top < stat:
-                stat = top
-        if stat == m:
-            count += 1
+            if top < t1:
+                t1, t2 = top, t1
+            elif top < t2:
+                t2 = top
     return count
 
 
@@ -400,16 +418,23 @@ def kj_count_brute(n: int, m: int, j: int, cap: Optional[int] = None) -> int:
     if n < 0 or not (0 <= m <= n):
         raise InvalidParametersError(f"need 0 <= m <= n, got n={n}, m={m}")
     _check_cap(n, cap)
+    if n == 0:
+        return 1  # the empty partition
+    # As in minimax_count_brute over the blocks of at most j labels, n + 1 meaning
+    # none (statistic 0); joined to t1's block, label n counts only while s1 < j.
+    want = m or n + 1
     count = 0
-    for _, blocks in _block_stream(n):
-        stat = 0
-        for mask in blocks:
+    for _, blocks in _block_stream(n - 1):
+        t1, t2, s1 = n + 1, n + 1, 0
+        for k, mask in enumerate(blocks):
             if not mask:
+                count += k * (t1 == want) + ((min(t2, n) if s1 < j else t2) == want)
                 break
-            if mask.bit_count() <= j:
+            size = mask.bit_count()
+            if size <= j:
                 top = mask.bit_length()
-                if stat == 0 or top < stat:
-                    stat = top
-        if stat == m:
-            count += 1
+                if top < t1:
+                    t1, t2, s1 = top, t1, size
+                elif top < t2:
+                    t2 = top
     return count

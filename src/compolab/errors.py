@@ -15,3 +15,7 @@ class MalformedInputError(CompolabError, ValueError):
 
 class ResourceLimitError(CompolabError, RuntimeError):
     """A brute-force request exceeds the configured enumeration cap."""
+
+
+class InconsistentResultError(CompolabError, ValueError):
+    """Two computations of one value disagree, as when a memo cell is rewritten."""

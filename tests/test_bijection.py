@@ -131,3 +131,17 @@ def test_verify_builds_the_target_graph_once(monkeypatch):
     monkeypatch.setattr(bijection, "target_graph", counting)
     assert verify(5, 2).ok
     assert calls == [(5, 2)]
+
+
+def test_verify_row_equals_verify_per_cell(monkeypatch):
+    for n in range(7):
+        assert bijection.verify_row(n) == [verify(n, m) for m in range(n + 1)], n
+    with pytest.raises(InvalidParametersError):
+        bijection.verify_row(-1)
+    # A failure in one cell is reported in that cell alone.
+    real_insert = bijection._insert
+    monkeypatch.setattr(
+        bijection, "_insert", lambda c, m: c if m == 2 else real_insert(c, m)
+    )
+    reports = bijection.verify_row(4)
+    assert [r.round_trip_ok for r in reports] == [m != 2 for m in range(5)]

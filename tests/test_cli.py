@@ -296,6 +296,21 @@ def test_agreement_suite_takes_every_route_of_its_kind(monkeypatch, capsys):
         assert line.startswith("FAIL") == line.split()[1].startswith("comp(2,"), line
 
 
+def test_memo_conflict_is_a_failed_check_without_traceback(monkeypatch, capsys):
+    # A route that writes a wrong value into the memo the recursion has filled
+    # makes two computations of one cell disagree: one stderr line, exit 1.
+    def disagreeing(a, memo, n, m):
+        value = comp_count_recursive(n, m) + (n == 2)
+        memo.put(n, m, value)
+        return value
+
+    monkeypatch.setitem(ROUTES["comp"][1], "disagreeing", disagreeing)
+    code, _, err = run(capsys, "verify", "threeway", "--n-max", "3")
+    assert code == 1
+    assert err.startswith("error: memo cell (2, ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_brute_suite_respects_cap(capsys):
     code, _, _ = run(capsys, "verify", "threeway", "--n-max", "13")
     assert code == 3

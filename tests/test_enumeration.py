@@ -25,7 +25,12 @@ from compolab import (
     partitions_of,
     set_partitions,
 )
-from compolab.enumeration import _block_stream
+from compolab.enumeration import (
+    _block_stream,
+    _connectivity_table,
+    _count_extensions,
+    _position_adjacency,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +275,38 @@ def test_workers_give_identical_totals():
         assert composition_count_brute(g, workers=4) == single
 
 
+def test_count_extensions_matches_the_leaf_count_of_every_prefix():
+    # The counter places the last position in aggregate; counting the leaves
+    # of the same prefix one by one must agree, for prefixes of every length
+    # including n itself (which the worker split hands out at small n).
+    rng = random.Random(23)
+    for _ in range(24):
+        n = rng.randint(0, 8)
+        density = rng.choice((0.2, 0.4, 0.7))
+        edges = [
+            (u, v)
+            for u in range(1, n + 1)
+            for v in range(u + 1, n + 1)
+            if rng.random() < density
+        ]
+        conn = _connectivity_table(_position_adjacency(from_edge_list(n, edges)))
+        for length in range(n + 1):
+            for prefix in [tuple(rgs) for rgs, _ in _block_stream(length)]:
+                leaves = sum(
+                    all(conn[mask] for mask in blocks if mask)
+                    for _, blocks in _block_stream(n, prefix)
+                )
+                assert _count_extensions(n, conn, prefix) == leaves, (n, edges, prefix)
+
+
+def test_workers_match_one_worker_on_tiny_graphs():
+    for n in range(4):
+        for g in (complete(n), from_edge_list(n, []), from_edge_list(n, [(1, n)] if n > 1 else [])):
+            single = composition_count_brute(g)
+            assert composition_count_brute(g, workers=2) == single, (n, g.edges)
+            assert composition_count_brute(g, workers=4) == single, (n, g.edges)
+
+
 def test_edge_addition_monotonicity():
     rng = random.Random(77)
     pairs = 0
@@ -384,3 +421,15 @@ def test_kj_count_matches_restricted_statistic_histogram():
                 histogram[0 if stat is None else stat] += 1
             for m in range(n + 1):
                 assert kj_count_brute(n, m, j) == histogram[m]
+
+
+def test_kj_count_matches_restricted_statistic_histogram_through_n_8():
+    for n in range(9):
+        partitions = list(set_partitions(n))
+        for j in range(1, n + 2):
+            histogram = {m: 0 for m in range(n + 1)}
+            for p in partitions:
+                stat = minimax_restricted(p, j)
+                histogram[0 if stat is None else stat] += 1
+            for m in range(n + 1):
+                assert kj_count_brute(n, m, j) == histogram[m], (n, m, j)
