@@ -6,99 +6,85 @@ family "complete graph minus a clique on the label prefix" three independent
 ways (recursion, explicit Stirling sum, brute-force enumeration), counts the
 minimax/maximin statistics of set partitions, realizes the deletion/insertion
 bijection linking the two, and cross-validates everything.
+
+Importing the package loads no submodule: each public name, and each
+submodule such as ``compolab.enumeration``, is imported on first use
+(PEP 562), so a command loads only the code it runs.
 """
 
-from .bijection import BijectionReport, backward, forward, target_graph, verify
-from .closedform import (
-    MemoStore,
-    comp_count_explicit,
-    comp_count_paper_literal,
-    comp_count_recursive,
-    k1_count_formula,
-    maximin_count_formula,
-    minimax_count_formula,
-    row_sum,
-)
-from .enumeration import (
-    BRUTE_FORCE_CAP,
-    Composition,
-    Partition,
-    composition_count_brute,
-    compositions,
-    is_composition,
-    kj_count_brute,
-    minimax_count_brute,
-    minimax_restricted,
-    minimax_vertex,
-    partitions_of,
-    set_partitions,
-)
-from .errors import (
-    CompolabError,
-    InconsistentResultError,
-    InvalidParametersError,
-    MalformedInputError,
-    ResourceLimitError,
-)
-from .graphs import (
-    LabelledGraph,
-    complete,
-    complete_minus_clique,
-    delete_vertex,
-    from_edge_list,
-    from_vertices_and_edges,
-    is_connected_induced,
-    label_mask,
-    mask_labels,
-    parse_graph_file,
-)
-from .numtheory import bell, binomial, stirling2, stirling_row
+import sys as _sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BRUTE_FORCE_CAP",
-    "BijectionReport",
-    "Composition",
-    "CompolabError",
-    "InconsistentResultError",
-    "InvalidParametersError",
-    "LabelledGraph",
-    "MalformedInputError",
-    "MemoStore",
-    "Partition",
-    "ResourceLimitError",
-    "backward",
-    "bell",
-    "binomial",
-    "comp_count_explicit",
-    "comp_count_paper_literal",
-    "comp_count_recursive",
-    "complete",
-    "complete_minus_clique",
-    "composition_count_brute",
-    "compositions",
-    "delete_vertex",
-    "forward",
-    "from_edge_list",
-    "from_vertices_and_edges",
-    "is_composition",
-    "is_connected_induced",
-    "k1_count_formula",
-    "kj_count_brute",
-    "label_mask",
-    "mask_labels",
-    "maximin_count_formula",
-    "minimax_count_brute",
-    "minimax_count_formula",
-    "minimax_restricted",
-    "minimax_vertex",
-    "parse_graph_file",
-    "partitions_of",
-    "row_sum",
-    "set_partitions",
-    "stirling2",
-    "stirling_row",
-    "target_graph",
-    "verify",
-]
+# submodule -> the public names it provides
+_EXPORTS = {
+    "bijection": ("BijectionReport", "backward", "forward", "target_graph", "verify"),
+    "closedform": (
+        "MemoStore",
+        "comp_count_explicit",
+        "comp_count_paper_literal",
+        "comp_count_recursive",
+        "k1_count_formula",
+        "maximin_count_formula",
+        "minimax_count_formula",
+        "row_sum",
+    ),
+    "enumeration": (
+        "Composition",
+        "Partition",
+        "composition_count_brute",
+        "compositions",
+        "is_composition",
+        "kj_count_brute",
+        "minimax_count_brute",
+        "minimax_restricted",
+        "minimax_vertex",
+        "partitions_of",
+        "set_partitions",
+    ),
+    "errors": (
+        "BRUTE_FORCE_CAP",
+        "CompolabError",
+        "InconsistentResultError",
+        "InvalidParametersError",
+        "MalformedInputError",
+        "ResourceLimitError",
+    ),
+    "graphs": (
+        "LabelledGraph",
+        "complete",
+        "complete_minus_clique",
+        "delete_vertex",
+        "from_edge_list",
+        "from_vertices_and_edges",
+        "is_connected_induced",
+        "label_mask",
+        "mask_labels",
+        "parse_graph_file",
+    ),
+    "numtheory": ("bell", "binomial", "stirling2", "stirling_row"),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    """Import a public name's submodule, or a submodule itself, on first use."""
+    module = _SOURCE.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    qualified = f"{__name__}.{module}"
+    # The import statement's path, so -X importtime lists the submodule;
+    # importlib.import_module would load it unlisted.
+    __import__(qualified)
+    value = _sys.modules[qualified]
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value  # later lookups bind directly, as an eager import would
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SOURCE, *_EXPORTS})

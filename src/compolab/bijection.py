@@ -12,8 +12,7 @@ pointwise and exhaustively — round trips, injectivity, and matching counts;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .enumeration import (
     Partition,
@@ -26,8 +25,7 @@ from .errors import InvalidParametersError
 from .graphs import LabelledGraph, complete_minus_clique, delete_vertex, label_mask
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(NamedTuple):
     """Outcome of one exhaustive check of the deletion/insertion bijection."""
 
     n: int
@@ -126,7 +124,7 @@ def _verify_cells(n: int, ms: Iterable[int], cap: Optional[int]) -> list[Bijecti
     of {1..n+1} hands each to the cell of its minimax vertex."""
     graphs = {m: target_graph(n, m) for m in ms}
     failed: set[int] = set()
-    images: dict[int, set[tuple[int, ...]]] = {m: set() for m in graphs}
+    images: dict[int, set[bytes]] = {m: set() for m in graphs}
     lhs_counts = dict.fromkeys(graphs, 0)
     for p in set_partitions(n + 1, cap=cap):
         v = minimax_vertex(p)
@@ -149,7 +147,9 @@ def _verify_cells(n: int, ms: Iterable[int], cap: Optional[int]) -> list[Bijecti
             failed.add(m)
         elif _insert(image, m) != p:
             failed.add(m)
-        images[m].add(image.rgs)  # its labels are {1..n+1} minus v: the RGS names it
+        # Its labels are {1..n+1} minus v, so the RGS names it.  target_graph
+        # allows at most 64 labels, so each entry fits in one byte.
+        images[m].add(bytes(image.rgs))
     reports = []
     for m, g in graphs.items():
         rhs_count = 0

@@ -2,6 +2,10 @@
 
 Exit codes are a stable contract: 0 success, 1 verification failure, 2
 usage/input error (or a stdout closed early), 3 resource limit exceeded.
+
+Each command is one fresh process, so start-up counts: enumeration, graphs
+and bijection are imported by the routes and commands that call them, not
+here.
 """
 
 from __future__ import annotations
@@ -10,13 +14,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from . import bijection, closedform, enumeration, graphs, numtheory
+from . import closedform, numtheory
 from .closedform import MemoStore
 from .errors import (
+    BRUTE_FORCE_CAP,
     InconsistentResultError,
     InvalidParametersError,
     MalformedInputError,
@@ -29,15 +33,19 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass
 class OutputRecord:
     """One computed value, ready for text or JSON rendering."""
 
-    n: int
-    value: str  # exact decimal
-    method: str
-    m: Optional[int] = None
-    j: Optional[int] = None
+    __slots__ = ("n", "value", "method", "m", "j")
+
+    def __init__(
+        self, n: int, value: str, method: str, m: Optional[int] = None, j: Optional[int] = None
+    ):
+        self.n = n
+        self.value = value  # exact decimal
+        self.method = method
+        self.m = m
+        self.j = j
 
     def to_json_dict(self) -> dict:
         out: dict = {"n": self.n}
@@ -56,30 +64,50 @@ class OutputRecord:
 
 Route = Callable[..., int]
 
+
+def _comp_brute(a, memo, n, m):
+    from .enumeration import composition_count_brute
+    from .graphs import complete_minus_clique
+
+    return composition_count_brute(
+        complete_minus_clique(n, m), cap=a.max_brute_n, workers=a.workers
+    )
+
+
+def _minimax_brute(a, memo, n, m):
+    from .enumeration import minimax_count_brute
+
+    return minimax_count_brute(n, m, cap=a.max_brute_n)
+
+
+def _kj_brute(a, memo, n, m, j):
+    from .enumeration import kj_count_brute
+
+    return kj_count_brute(n, m, j, cap=a.max_brute_n)
+
+
 # kind -> (required parameters, {method: route}); the first method is the
 # kind's default.  A route is called as route(args, memo, *parameters).
 ROUTES: dict[str, tuple[tuple[str, ...], dict[str, Route]]] = {
     "comp": (("n", "m"), {
         "recursive": lambda a, memo, n, m: closedform.comp_count_recursive(n, m, memo=memo),
         "explicit": lambda a, memo, n, m: closedform.comp_count_explicit(n, m),
-        "brute": lambda a, memo, n, m: enumeration.composition_count_brute(
-            graphs.complete_minus_clique(n, m), cap=a.max_brute_n, workers=a.workers
-        ),
+        "brute": _comp_brute,
         "paper-literal": lambda a, memo, n, m: closedform.comp_count_paper_literal(n, m),
     }),
     "minimax": (("n", "m"), {
         "formula": lambda a, memo, n, m: closedform.minimax_count_formula(n, m),
-        "brute": lambda a, memo, n, m: enumeration.minimax_count_brute(n, m, cap=a.max_brute_n),
+        "brute": _minimax_brute,
     }),
     "maximin": (("n", "m"), {
         "formula": lambda a, memo, n, m: closedform.maximin_count_formula(n, m),
     }),
     "k1": (("n", "m"), {
         "formula": lambda a, memo, n, m: closedform.k1_count_formula(n, m),
-        "brute": lambda a, memo, n, m: enumeration.kj_count_brute(n, m, 1, cap=a.max_brute_n),
+        "brute": lambda a, memo, n, m: _kj_brute(a, memo, n, m, 1),
     }),
     "kj": (("n", "m", "j"), {
-        "brute": lambda a, memo, n, m, j: enumeration.kj_count_brute(n, m, j, cap=a.max_brute_n),
+        "brute": _kj_brute,
     }),
     "bell": (("n",), {"formula": lambda a, memo, n: numtheory.bell(n)}),
     "stirling2": (("n", "m"), {"formula": lambda a, memo, n, m: numtheory.stirling2(n, m)}),
@@ -225,6 +253,8 @@ def _verify_threeway(n_max: int, args, store: MemoStore) -> list[tuple[str, bool
 
 
 def _verify_bijection(n_max: int, args, store: MemoStore) -> list[tuple[str, bool]]:
+    from . import bijection
+
     checks = []
     for n in range(n_max + 1):
         for report in bijection.verify_row(n, cap=args.max_brute_n):
@@ -269,11 +299,7 @@ _SUITE_BRUTE_OFFSET = {"threeway": 0, "bijection": 1, "k1": 0, "reflection": 0}
 def cmd_verify(args: argparse.Namespace) -> int:
     offset = _SUITE_BRUTE_OFFSET.get(args.suite)
     if offset is not None:
-        limit = (
-            enumeration.BRUTE_FORCE_CAP
-            if args.max_brute_n is None
-            else args.max_brute_n
-        )
+        limit = BRUTE_FORCE_CAP if args.max_brute_n is None else args.max_brute_n
         if args.n_max + offset > limit:
             raise ResourceLimitError(
                 f"suite {args.suite!r} with --n-max {args.n_max} would enumerate "
@@ -303,6 +329,8 @@ def _read_text(path: str) -> str:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from . import enumeration, graphs
+
     g = graphs.parse_graph_file(_read_text(args.graph_file))
     for comp in enumeration.compositions(g, cap=args.max_brute_n):
         print(comp)
@@ -383,8 +411,7 @@ def _add_brute(parser: argparse.ArgumentParser, *, workers: bool = True) -> None
         type=int,
         default=None,
         metavar="N",
-        help="override the brute-force enumeration cap (default %d)"
-        % enumeration.BRUTE_FORCE_CAP,
+        help="override the brute-force enumeration cap (default %d)" % BRUTE_FORCE_CAP,
     )
     if workers:
         parser.add_argument(

@@ -21,14 +21,10 @@ accidentally starting Bell(20)-scale runs.
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InvalidParametersError, ResourceLimitError
-from .graphs import LabelledGraph, is_connected_induced, label_mask, mask_connected
-
-BRUTE_FORCE_CAP = 12
+from .errors import BRUTE_FORCE_CAP, InvalidParametersError, ResourceLimitError
+from .graphs import Frozen, LabelledGraph, is_connected_induced, label_mask, mask_connected
 
 # Eagerly tabulate subset connectivity up to this many vertices; beyond it the
 # table would dominate the (already enormous) enumeration cost.
@@ -44,7 +40,7 @@ def _check_cap(n: int, cap: Optional[int]) -> None:
         )
 
 
-class Partition:
+class Partition(Frozen):
     """A set partition of a finite label set, canonically encoded as an RGS.
 
     ``labels`` is the ascending ground set; ``rgs[i]`` is the block index of
@@ -71,9 +67,6 @@ class Partition:
                 top = value
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "rgs", rgs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
@@ -117,17 +110,6 @@ class Partition:
             out[b] |= 1 << label
         return tuple(out)
 
-    def __eq__(self, other):
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.labels == other.labels and self.rgs == other.rgs
-
-    def __hash__(self):
-        return hash((self.labels, self.rgs))
-
-    def __repr__(self):
-        return f"Partition({self.labels!r}, {self.rgs!r})"
-
     def __str__(self):
         """Block-line format, e.g. ``{1,3}|{2}``."""
         return "|".join(
@@ -143,18 +125,20 @@ def _trusted(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Frozen):
     """A partition of a graph's vertex set whose blocks all induce connected subgraphs."""
 
+    __slots__ = ("graph", "partition")
     graph: LabelledGraph
     partition: Partition
 
-    def __post_init__(self) -> None:
-        if not is_composition(self.graph, self.partition):
+    def __init__(self, graph: LabelledGraph, partition: Partition):
+        if not is_composition(graph, partition):
             raise InvalidParametersError(
                 "every block must induce a connected subgraph"
             )
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "partition", partition)
 
     def __str__(self):
         return str(self.partition)
@@ -349,6 +333,8 @@ def composition_count_brute(
     conn = _connectivity_table(_position_adjacency(g))
     if workers == 1 or n < 2:
         return _count_extensions(n, conn, ())
+    import multiprocessing  # only the split needs it, and it is slow to import
+
     tasks = [(n, conn, prefix) for prefix in _split_prefixes(n, workers)]
     with multiprocessing.Pool(workers) as pool:
         return sum(pool.starmap(_count_extensions, tasks))

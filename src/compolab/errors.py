@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the brute-force cap behind
+``ResourceLimitError``.
+
+The cap lives here, not in ``enumeration``, so that the command line can show
+it in its help without loading the enumeration code.
+"""
+
+# Largest vertex count a brute-force enumeration runs without an explicit cap.
+BRUTE_FORCE_CAP = 12
 
 
 class CompolabError(Exception):

@@ -10,7 +10,7 @@ package counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import InvalidParametersError, MalformedInputError
@@ -48,28 +48,64 @@ def as_vertex_mask(s: VertexSetLike) -> int:
     return label_mask(s)
 
 
-@dataclass(frozen=True)
-class LabelledGraph:
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__`` and sets them once, in
+    ``__init__``, through ``object.__setattr__``.  Equality, hashing, repr and
+    pickling read the fields in that order; assignment and deletion raise.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._values(self))
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class LabelledGraph(Frozen):
     """Immutable undirected graph on integer labels.
 
     ``vertex_mask`` is the bitset of present labels; ``adj[v]`` is the
     neighbor bitset of label v (index 0 and absent labels hold 0).
     """
 
+    __slots__ = ("vertex_mask", "adj")
     vertex_mask: int
     adj: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        mask = self.vertex_mask
+    def __init__(self, vertex_mask: int, adj: tuple[int, ...]):
+        mask = vertex_mask
         if mask & 1:
             raise InvalidParametersError("vertex labels must be >= 1")
         if mask.bit_length() - 1 > MAX_LABEL:
             raise InvalidParametersError(
                 f"labels above {MAX_LABEL} are not supported (got {mask.bit_length() - 1})"
             )
-        if len(self.adj) != max(mask.bit_length(), 1):
+        if len(adj) != max(mask.bit_length(), 1):
             raise InvalidParametersError("adjacency table length does not match labels")
-        for v, nbrs in enumerate(self.adj):
+        for v, nbrs in enumerate(adj):
             if nbrs == 0:
                 continue
             if not (mask >> v) & 1:
@@ -83,8 +119,10 @@ class LabelledGraph:
                 low = rest & -rest
                 rest ^= low
                 u = low.bit_length() - 1
-                if not (self.adj[u] >> v) & 1:
+                if not (adj[u] >> v) & 1:
                     raise InvalidParametersError(f"asymmetric edge {{{v},{u}}}")
+        object.__setattr__(self, "vertex_mask", vertex_mask)
+        object.__setattr__(self, "adj", adj)
 
     @property
     def n(self) -> int:
@@ -243,11 +281,14 @@ def parse_graph_file(text: str) -> LabelledGraph:
             continue
         fields = line.split()
         if n is None:
-            if len(fields) != 2 or fields[0] != "n" or not fields[1].isdigit():
+            try:
+                if len(fields) != 2 or fields[0] != "n" or not fields[1].isdigit():
+                    raise ValueError(line)
+                n = int(fields[1])  # isdigit() also passes digits int() rejects, like "²"
+            except ValueError:
                 raise MalformedInputError(
                     f"line {lineno}: expected 'n <count>', got {line!r}"
-                )
-            n = int(fields[1])
+                ) from None
             continue
         if len(fields) != 2:
             raise MalformedInputError(f"line {lineno}: expected 'u v', got {line!r}")

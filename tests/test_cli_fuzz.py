@@ -83,6 +83,7 @@ def files(tmp_path):
             write("labels.graph", "3 7\n7 12\n"),
             write("loop.graph", "n 2\n1 1\n"),
             write("big.graph", "n 13\n"),
+            write("superscript.graph", "n \u00b2\n".encode()),
         ],
         "bfile": common + [
             write("rowsum.b", "# reference\n0 1\n1 2\n2 5\n3 15\n4 52\n5 203\n6 877\n"),

@@ -1,13 +1,16 @@
 """Partition streams, composition filtering, and statistic counts by enumeration."""
 
+import pickle
 import random
 
 import pytest
 from conftest import MINIMAX_EXAMPLE_3, bfs_connected, blocks_of, enumerate_partitions
 
 from compolab import (
+    BijectionReport,
     Composition,
     InvalidParametersError,
+    LabelledGraph,
     Partition,
     ResourceLimitError,
     bell,
@@ -75,11 +78,29 @@ def test_streamed_partitions_equal_checked_ones():
 
 
 def test_partition_is_immutable_and_hashable():
+    # And so is every other value type of the package.
     p = Partition.from_blocks([{1, 2}])
-    with pytest.raises(AttributeError):
-        p.rgs = (0, 1)
-    assert p == Partition((1, 2), (0, 0))
-    assert len({p, Partition((1, 2), (0, 0)), Partition((1, 2), (0, 1))}) == 2
+    split = Partition((1, 2), (0, 1))
+    g = complete(2)
+    report = BijectionReport(n=2, m=1, lhs_count=2, rhs_count=2, round_trip_ok=True,
+                             injective_ok=True)
+    cases = [  # (value, a field, an equal value built apart, an unequal value)
+        (p, "rgs", Partition((1, 2), (0, 0)), split),
+        (g, "adj", from_edge_list(2, [(2, 1)]), from_edge_list(2, [])),
+        (Composition(g, p), "partition", Composition(complete(2), Partition((1, 2), (0, 0))),
+         Composition(g, split)),
+        (report, "ok", report._replace(), report._replace(injective_ok=False)),
+    ]
+    types = {t.__name__: t for t in (Partition, LabelledGraph, Composition, BijectionReport)}
+    for value, field, same, other in cases:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(other, field))
+        assert value == same and hash(value) == hash(same) and value != other
+        assert len({value, same, other}) == 2
+        assert eval(repr(value), types) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert repr(g) == "LabelledGraph(vertex_mask=6, adj=(0, 4, 2))"
+    assert repr(report).startswith("BijectionReport(n=2, m=1, lhs_count=2,")
 
 
 # ---------------------------------------------------------------------------

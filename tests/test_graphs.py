@@ -162,6 +162,7 @@ def test_parse_graph_file():
         "n 3\n1 2 3\n",  # long edge line
         "n 3\nx y\n",  # non-integer edge
         "n -2\n",  # negative count
+        "n \u00b2\n",  # a digit to isdigit() that int() rejects
         "n 2\n1 1\n",  # self-loop
         "n 2\n1 3\n",  # out of range
     ],
