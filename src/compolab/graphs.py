@@ -58,8 +58,7 @@ class Frozen:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         cls._values = attrgetter(*cls.__slots__)
 
     def __setattr__(self, name, value):

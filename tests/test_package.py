@@ -21,6 +21,7 @@ def test_every_public_name_resolves_to_its_submodule_object():
     assert sorted(compolab.__all__) == sorted(
         name for names in compolab._EXPORTS.values() for name in names
     )
+    assert compolab.enumeration.BRUTE_FORCE_CAP is compolab.BRUTE_FORCE_CAP
 
 
 def test_star_import_binds_every_public_name():
@@ -30,14 +31,9 @@ def test_star_import_binds_every_public_name():
     assert namespace["set_partitions"] is compolab.enumeration.set_partitions
 
 
-def test_submodules_resolve_as_attributes():
-    assert compolab.enumeration.BRUTE_FORCE_CAP == compolab.BRUTE_FORCE_CAP
-    assert callable(compolab.bijection.verify_row)
-
-
 def test_unknown_name_raises_an_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
-        compolab.no_such_name  # noqa: B018
+        compolab.no_such_name
 
 
 # What a fresh process holds after importing the CLI and after running a
