@@ -282,7 +282,7 @@ def parse_graph_file(text: str) -> LabelledGraph:
         if n is None:
             try:
                 if len(fields) != 2 or fields[0] != "n" or not fields[1].isdigit():
-                    raise ValueError(line)
+                    raise ValueError
                 n = int(fields[1])  # isdigit() also passes digits int() rejects, like "²"
             except ValueError:
                 raise MalformedInputError(

@@ -89,7 +89,7 @@ def test_partition_is_immutable_and_hashable():
         (g, "adj", from_edge_list(2, [(2, 1)]), from_edge_list(2, [])),
         (Composition(g, p), "partition", Composition(complete(2), Partition((1, 2), (0, 0))),
          Composition(g, split)),
-        (report, "ok", report._replace(), report._replace(injective_ok=False)),
+        (report, "injective_ok", report._replace(), report._replace(injective_ok=False)),
     ]
     types = {t.__name__: t for t in (Partition, LabelledGraph, Composition, BijectionReport)}
     for value, field, same, other in cases:
