@@ -14,8 +14,7 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from . import closedform, numtheory
 from .closedform import MemoStore
@@ -25,6 +24,7 @@ from .errors import (
     InvalidParametersError,
     MalformedInputError,
     ResourceLimitError,
+    check_cap,
 )
 
 EXIT_OK = 0
@@ -39,7 +39,7 @@ class OutputRecord:
     __slots__ = ("n", "value", "method", "m", "j")
 
     def __init__(
-        self, n: int, value: str, method: str, m: Optional[int] = None, j: Optional[int] = None
+        self, n: int, value: str, method: str, m: int | None = None, j: int | None = None
     ):
         self.n = n
         self.value = value  # exact decimal
@@ -91,9 +91,11 @@ def _kj_brute(a, memo, n, m, j):
 ROUTES: dict[str, tuple[tuple[str, ...], dict[str, Route]]] = {
     "comp": (("n", "m"), {
         "recursive": lambda a, memo, n, m: closedform.comp_count_recursive(n, m, memo=memo),
-        "explicit": lambda a, memo, n, m: closedform.comp_count_explicit(n, m),
+        "explicit": lambda a, memo, n, m: closedform.comp_count_explicit(n, m, memo=memo),
         "brute": _comp_brute,
-        "paper-literal": lambda a, memo, n, m: closedform.comp_count_paper_literal(n, m),
+        "paper-literal": lambda a, memo, n, m: closedform.comp_count_paper_literal(
+            n, m, memo=memo
+        ),
     }),
     "minimax": (("n", "m"), {
         "formula": lambda a, memo, n, m: closedform.minimax_count_formula(n, m),
@@ -175,9 +177,20 @@ def _table_cells(args: argparse.Namespace) -> list[OutputRecord]:
             f"--max-n must be >= {first} for the {args.kind} table"
         )
     method, _, route = _select_route(args)
+    cap = BRUTE_FORCE_CAP if args.max_brute_n is None else args.max_brute_n
+    if method == "brute" and args.max_n > cap:
+        # Refuse before any cell, naming the first row over the cap.
+        check_cap(max(first, cap + 1), cap)
     memo = MemoStore()
+    # Column by column, so that consecutive explicit sums share their power
+    # exponent (m, or n - m for the paper-literal form) or step it by one.
+    values = {
+        (n, m): route(args, memo, n, m)
+        for m in range(args.max_n + 1)
+        for n in range(max(first, m), args.max_n + 1)
+    }
     return [
-        OutputRecord(n=n, m=m, value=str(route(args, memo, n, m)), method=method)
+        OutputRecord(n=n, m=m, value=str(values[n, m]), method=method)
         for n in range(first, args.max_n + 1)
         for m in range(n + 1)
     ]
@@ -323,7 +336,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _read_text(path: str) -> str:
     """A UTF-8 input file's text; one that cannot be read or decoded is malformed input."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
 
@@ -490,7 +504,7 @@ def _bind_range_value(argv: list[str]) -> list[str]:
     return out
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_bind_range_value(sys.argv[1:] if argv is None else argv))
     # Exact values can exceed Python's int -> str digit limit (3.11+, and

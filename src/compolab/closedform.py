@@ -9,6 +9,12 @@ the test suite plays against each other and against direct enumeration:
 * an explicit Stirling sum, comp(n, m) = sum_{k=1}^{n-m+1} S(n-m, k-1) * k^m,
 * the minimax identity comp(n, m) = minimax_count_formula(n+1, m+1).
 
+Every explicit Stirling sum reads its powers k^e from the power vector of a
+``MemoStore``, so that a table whose consecutive cells share an exponent (or
+step it up by one) pays one small-int multiply per power, not a ``pow``.  The
+vector holds powers of integers and never a comp value, and the recursion
+never reads it, so the explicit and recursive routes still share no values.
+
 It also provides the two partition statistics the identity rests on (minimax:
 smallest per-block maximum; maximin: largest per-block minimum), the
 inclusion-exclusion count for minimum-singleton statistics, and row sums.
@@ -25,7 +31,7 @@ rather than silently patched.
 from __future__ import annotations
 
 import math
-from typing import Optional
+import operator
 
 from .errors import InconsistentResultError, InvalidParametersError
 from .numtheory import bell_numbers, stirling_row
@@ -39,15 +45,23 @@ class MemoStore:
     writers must produce the identical value).  The store also holds the
     recursion's inner sums, keyed (i, m); they live and are cleared with the
     cells but are not cells, so ``len`` and ``items`` do not count them.
+
+    Apart from those, the store keeps one power vector for the explicit
+    Stirling sums, (1**e, ..., L**e) with its exponent e (see ``powers``).  It
+    holds powers of integers, never a comp value, and the recursion never
+    reads it; it is cleared with the cells.
     """
 
-    __slots__ = ("_table", "_inner")
+    __slots__ = ("_table", "_inner", "_powers")
 
     def __init__(self) -> None:
         self._table: dict[tuple[int, int], int] = {}
         self._inner: dict[tuple[int, int], int] = {}
+        # (e, (1**e, ..., L**e)), replaced whole so that a store shared between
+        # threads never pairs an exponent with another exponent's powers.
+        self._powers: tuple[int, tuple[int, ...]] = (0, ())
 
-    def get(self, n: int, m: int) -> Optional[int]:
+    def get(self, n: int, m: int) -> int | None:
         return self._table.get((n, m))
 
     def put(self, n: int, m: int, value: int) -> None:
@@ -62,9 +76,26 @@ class MemoStore:
     def items(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self._table.items())
 
+    def powers(self, e: int, length: int) -> tuple[int, ...]:
+        """(1**e, 2**e, ..., length**e), from the kept power vector.
+
+        The same e extends the vector; e one above the kept exponent
+        multiplies each entry by its base first; any other e rebuilds it.
+        """
+        exponent, vector = self._powers
+        if e == exponent + 1:
+            vector = tuple(map(operator.mul, vector, range(1, len(vector) + 1)))
+        elif e != exponent:
+            vector = ()
+        if len(vector) < length:
+            vector += tuple(k**e for k in range(len(vector) + 1, length + 1))
+        self._powers = (e, vector)
+        return vector[:length]
+
     def clear(self) -> None:
         self._table.clear()
         self._inner.clear()
+        self._powers = (0, ())
 
     def __contains__(self, key: tuple[int, int]) -> bool:
         return key in self._table
@@ -78,7 +109,7 @@ def _check_pair(n: int, m: int) -> None:
         raise InvalidParametersError(f"need 0 <= m <= n, got n={n}, m={m}")
 
 
-def comp_count_recursive(n: int, m: int, memo: Optional[MemoStore] = None) -> int:
+def comp_count_recursive(n: int, m: int, memo: MemoStore | None = None) -> int:
     """comp(n, m) by the marked-vertex recursion, memoized.
 
     Base case n = m is the edgeless graph with exactly one composition.  Each
@@ -117,26 +148,32 @@ def _comp_recursive(n: int, m: int, store: MemoStore) -> int:
     return total
 
 
-def _stirling_power_sum(d: int, e: int) -> int:
-    """sum_{k=1}^{d+1} S(d, k-1) * k^e, from one Stirling row."""
-    return sum(s * k**e for k, s in enumerate(stirling_row(d), start=1))
+def _stirling_power_sum(d: int, e: int, store: MemoStore) -> int:
+    """sum_{k=1}^{d+1} S(d, k-1) * k^e, from one Stirling row and the store's
+    power vector."""
+    return sum(map(operator.mul, stirling_row(d), store.powers(e, d + 1)))
 
 
-def comp_count_explicit(n: int, m: int) -> int:
-    """comp(n, m) by the explicit Stirling sum: sum_{k=1}^{n-m+1} S(n-m, k-1) * k^m."""
+def comp_count_explicit(n: int, m: int, memo: MemoStore | None = None) -> int:
+    """comp(n, m) by the explicit Stirling sum: sum_{k=1}^{n-m+1} S(n-m, k-1) * k^m.
+
+    ``memo`` lends its power vector, so that cells of one column (same m) or
+    of neighbouring columns reuse their powers; ``memo=None`` uses a fresh
+    store for this call only.
+    """
     _check_pair(n, m)
-    return _stirling_power_sum(n - m, m)
+    return _stirling_power_sum(n - m, m, MemoStore() if memo is None else memo)
 
 
-def comp_count_paper_literal(n: int, m: int) -> int:
+def comp_count_paper_literal(n: int, m: int, memo: MemoStore | None = None) -> int:
     """The explicit formula as it circulates in print: sum_{k=1}^{m+1} S(m, k-1) * k^(n-m).
 
     Known-wrong variant (see the module docstring); exposed via the CLI's
     ``--paper-literal`` mode for documentation and regression of the erratum.
-    Do not use for real counts.
+    Do not use for real counts.  ``memo`` is used as in ``comp_count_explicit``.
     """
     _check_pair(n, m)
-    return _stirling_power_sum(m, n - m)
+    return _stirling_power_sum(m, n - m, MemoStore() if memo is None else memo)
 
 
 def minimax_count_formula(n: int, m: int) -> int:
@@ -147,7 +184,7 @@ def minimax_count_formula(n: int, m: int) -> int:
     """
     if n < 1 or not (1 <= m <= n):
         raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
-    return _stirling_power_sum(n - m, m - 1)
+    return _stirling_power_sum(n - m, m - 1, MemoStore())
 
 
 def maximin_count_formula(n: int, m: int) -> int:
@@ -160,7 +197,7 @@ def maximin_count_formula(n: int, m: int) -> int:
     """
     if n < 1 or not (1 <= m <= n):
         raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
-    return _stirling_power_sum(m - 1, n - m)
+    return _stirling_power_sum(m - 1, n - m, MemoStore())
 
 
 def k1_count_formula(n: int, m: int) -> int:
@@ -181,7 +218,7 @@ def k1_count_formula(n: int, m: int) -> int:
     return sum(t if k % 2 == 0 else -t for k, t in enumerate(terms))
 
 
-def row_sum(n: int, memo: Optional[MemoStore] = None) -> int:
+def row_sum(n: int, memo: MemoStore | None = None) -> int:
     """sum_{m=0}^{n} comp(n, m); equals bell(n+1) because every partition of
     {1..n+1} is classified by its minimax vertex."""
     if n < 0:

@@ -23,21 +23,12 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import BRUTE_FORCE_CAP, InvalidParametersError, ResourceLimitError
+from .errors import BRUTE_FORCE_CAP, InvalidParametersError, check_cap
 from .graphs import Frozen, LabelledGraph, is_connected_induced, label_mask, mask_connected
 
 # Eagerly tabulate subset connectivity up to this many vertices; beyond it the
 # table would dominate the (already enormous) enumeration cost.
 _EAGER_CONN_LIMIT = 14
-
-
-def _check_cap(n: int, cap: Optional[int]) -> None:
-    limit = BRUTE_FORCE_CAP if cap is None else cap
-    if n > limit:
-        raise ResourceLimitError(
-            f"{n} vertices exceeds the brute-force cap of {limit} "
-            f"(pass a higher cap explicitly to proceed)"
-        )
 
 
 class Partition(Frozen):
@@ -194,7 +185,7 @@ def _block_stream(n: int, prefix: Sequence[int] = ()) -> Iterator[tuple[list[int
 def partitions_of(labels: Iterable[int], cap: Optional[int] = None) -> Iterator[Partition]:
     """Every partition of an explicit label set, in lexicographic RGS order."""
     ground = tuple(sorted(set(labels)))
-    _check_cap(len(ground), cap)
+    check_cap(len(ground), cap)
     return _partition_stream(ground)
 
 
@@ -210,7 +201,7 @@ def set_partitions(n: int, cap: Optional[int] = None) -> Iterator[Partition]:
     """
     if n < 0:
         raise InvalidParametersError(f"n must be >= 0, got {n}")
-    _check_cap(n, cap)
+    check_cap(n, cap)
     return _partition_stream(tuple(range(1, n + 1)))
 
 
@@ -223,7 +214,7 @@ def is_composition(g: LabelledGraph, p: Partition) -> bool:
 
 def compositions(g: LabelledGraph, cap: Optional[int] = None) -> Iterator[Composition]:
     """Every composition of g, in the set_partitions order of its vertex set."""
-    _check_cap(g.n, cap)
+    check_cap(g.n, cap)
     return _composition_stream(g, _connectivity_table(_position_adjacency(g)))
 
 
@@ -326,7 +317,7 @@ def composition_count_brute(
     With ``workers > 1`` the RGS space is split by prefix across a process
     pool; totals are identical to the single-worker count.
     """
-    _check_cap(g.n, cap)
+    check_cap(g.n, cap)
     if workers < 1:
         raise InvalidParametersError(f"workers must be >= 1, got {workers}")
     n = g.n
@@ -374,7 +365,7 @@ def minimax_count_brute(n: int, m: int, cap: Optional[int] = None) -> int:
     """Number of partitions of {1..n} whose minimax vertex is m, by enumeration."""
     if n < 1 or not (1 <= m <= n):
         raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
-    _check_cap(n, cap)
+    check_cap(n, cap)
     # With t1 < t2 the two smallest tops of the k blocks (n if missing), only
     # the join to t1's block moves the statistic, to t2.
     count = 0
@@ -403,7 +394,7 @@ def kj_count_brute(n: int, m: int, j: int, cap: Optional[int] = None) -> int:
         raise InvalidParametersError(f"j must be >= 1, got {j}")
     if n < 0 or not (0 <= m <= n):
         raise InvalidParametersError(f"need 0 <= m <= n, got n={n}, m={m}")
-    _check_cap(n, cap)
+    check_cap(n, cap)
     if n == 0:
         return 1  # the empty partition
     # As in minimax_count_brute over the blocks of at most j labels, n + 1 meaning

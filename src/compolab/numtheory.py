@@ -18,8 +18,8 @@ from itertools import accumulate
 from .errors import InvalidParametersError
 
 # _STIRLING[n][k] = number of partitions of an n-set into exactly k blocks,
-# for the rows n that were asked for.  Row 0 is [1] and always kept.
-_STIRLING: dict[int, list[int]] = {0: [1]}
+# for the rows n that were asked for.  Row 0 is (1,) and always kept.
+_STIRLING: dict[int, tuple[int, ...]] = {0: (1,)}
 # _BELL[n] = number of partitions of an n-set.  _BELL_ROW is the last row of
 # the Bell triangle, the one that starts with _BELL[-1].
 _BELL: list[int] = [1]
@@ -47,7 +47,7 @@ def _grow_stirling(n: int) -> None:
         row = _STIRLING[r]
         while r < n:
             r += 1
-            row = [0] + [k * row[k] + row[k - 1] for k in range(1, r)] + [1]
+            row = (0, *[k * row[k] + row[k - 1] for k in range(1, r)], 1)
         _STIRLING[n] = row
 
 
@@ -89,10 +89,11 @@ def stirling2(n: int, k: int) -> int:
 
 
 def stirling_row(n: int) -> tuple[int, ...]:
-    """Row n of the Stirling triangle as (S(n,0), ..., S(n,n)); the row is kept."""
+    """Row n of the Stirling triangle as (S(n,0), ..., S(n,n)); the row is kept
+    and returned as is."""
     _require_natural(n, "n")
     _grow_stirling(n)
-    return tuple(_STIRLING[n])
+    return _STIRLING[n]
 
 
 def bell(n: int) -> int:

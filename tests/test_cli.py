@@ -12,8 +12,14 @@ import sys
 import pytest
 from conftest import COMP_TABLE, K1_TABLE
 
+from compolab import cli
 from compolab.cli import ROUTES, main, parse_bfile
-from compolab.closedform import MemoStore, comp_count_recursive
+from compolab.closedform import (
+    MemoStore,
+    comp_count_explicit,
+    comp_count_paper_literal,
+    comp_count_recursive,
+)
 
 
 def run(capsys, *argv):
@@ -252,6 +258,62 @@ def test_table_k1_brute_matches_reference(capsys):
     lines = out.strip().splitlines()
     for n in range(1, 7):
         assert lines[n] == ",".join([str(n)] + [str(v) for v in K1_TABLE[n]])
+
+
+@pytest.mark.parametrize("method,count", [
+    ("explicit", comp_count_explicit), ("paper-literal", comp_count_paper_literal),
+])
+def test_table_explicit_matches_each_cell_alone(capsys, method, count):
+    # The table evaluates column by column over one store's power vector;
+    # each cell must equal its own sum over a fresh store, in row-major order.
+    expected = [(n, m, str(count(n, m))) for n in range(41) for m in range(n + 1)]
+    _, csv_out, _ = run(capsys, "table", "comp", "--max-n", "40", "--format", "csv",
+                        "--method", method)
+    csv_cells = [
+        (int(line.split(",")[0]), m, value)
+        for line in csv_out.strip().splitlines()[1:]
+        for m, value in enumerate(line.split(",")[1:])
+    ]
+    _, json_out, _ = run(capsys, "table", "comp", "--max-n", "40", "--format", "json",
+                         "--method", method)
+    json_cells = [(r["n"], r["m"], r["value"]) for r in json.loads(json_out)]
+    assert csv_cells == json_cells == expected
+
+
+def test_table_explicit_reads_no_memo_cell(monkeypatch, capsys):
+    # Wrong cells and inner sums in the table's store must not reach the
+    # explicit route: it shares only the power vector with the recursion.
+    def poisoned():
+        store = MemoStore()
+        for n in range(21):
+            for m in range(n + 1):
+                store._table[n, m] = store._inner[n, m] = 7
+        return store
+
+    monkeypatch.setattr(cli, "MemoStore", poisoned)
+    _, out, _ = run(capsys, "table", "comp", "--max-n", "20", "--format", "json",
+                    "--method", "explicit")
+    assert [(r["n"], r["m"], r["value"]) for r in json.loads(out)] == [
+        (n, m, str(comp_count_explicit(n, m))) for n in range(21) for m in range(n + 1)
+    ]
+
+
+@pytest.mark.parametrize("kind,extra,cap,first_over", [
+    ("comp", (), 12, 13), ("k1", (), 12, 13), ("comp", ("--max-brute-n", "5"), 5, 6),
+])
+def test_table_brute_over_the_cap_exits_3_before_any_cell(monkeypatch, capsys, kind,
+                                                          extra, cap, first_over):
+    from compolab import enumeration
+
+    def never(*args, **kwargs):
+        raise AssertionError("a brute counter ran")
+
+    monkeypatch.setattr(enumeration, "composition_count_brute", never)
+    monkeypatch.setattr(enumeration, "kj_count_brute", never)
+    code, out, err = run(capsys, "table", kind, "--max-n", "14", "--method", "brute", *extra)
+    assert code == 3 and out == ""
+    assert err == (f"error: {first_over} vertices exceeds the brute-force cap of {cap} "
+                   "(pass a higher cap explicitly to proceed)\n")
 
 
 def test_table_k1_rejects_paper_literal(capsys):

@@ -1,5 +1,7 @@
 """Closed forms against the reference tables, the enumeration oracle, and each other."""
 
+import random
+
 import pytest
 from conftest import COMP_TABLE, K1_TABLE, enumerate_partitions
 
@@ -225,6 +227,37 @@ def test_memo_store_inner_sums_follow_the_store():
     assert store._inner and len(store.items()) == cells
     store.clear()
     assert not store._inner and len(store) == 0
+
+
+def test_memo_store_powers_follow_a_random_call_sequence():
+    # The exponent repeats, steps up by one, jumps and falls, and the length
+    # grows and shrinks; every call must still see exact powers.
+    rng = random.Random(8)
+    store = MemoStore()
+    e = 0
+    for _ in range(400):
+        step = rng.choice(("same", "same", "up", "up", "up", "jump", "fall"))
+        if step == "up":
+            e += 1
+        elif step == "jump":
+            e += rng.randint(2, 9)
+        elif step == "fall":
+            e = rng.randint(0, e)
+        length = rng.randint(0, 40)
+        assert store.powers(e, length) == tuple(k**e for k in range(1, length + 1)), (e, length)
+    assert store.powers(e, 5) and store._powers[1]
+    store.clear()
+    assert store._powers == (0, ())
+
+
+def test_explicit_sums_share_one_store_without_touching_its_cells():
+    store = MemoStore()
+    for m in range(31):
+        for n in range(m, 31):
+            assert comp_count_explicit(n, m, memo=store) == comp_count_explicit(n, m), (n, m)
+            assert comp_count_paper_literal(n, m, memo=store) == comp_count_paper_literal(n, m)
+    assert len(store) == 0 and not store._inner
+    assert len(store._powers[1]) == 31
 
 
 def test_large_arguments_stay_exact():

@@ -52,6 +52,7 @@ def test_stirling_against_enumeration_oracle():
 def test_stirling_recurrence_consistency():
     for n in range(1, 26):
         row, prev = stirling_row(n), stirling_row(n - 1)
+        assert stirling_row(n) is row  # the kept row, not a copy
         assert row[0] == 0
         assert row[n] == 1
         for k in range(1, n):

@@ -51,8 +51,8 @@ watched = %r
 print(json.dumps([sorted(watched & names) for names in loaded]))
 """
 
-_HEAVY = ("multiprocessing", "dataclasses", "compolab.enumeration", "compolab.graphs",
-          "compolab.bijection")
+_HEAVY = ("multiprocessing", "dataclasses", "pathlib", "typing", "compolab.enumeration",
+          "compolab.graphs", "compolab.bijection")
 
 
 def test_commands_import_only_the_modules_they_run():
