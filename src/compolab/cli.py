@@ -183,7 +183,7 @@ def _table_cells(args: argparse.Namespace) -> list[OutputRecord]:
         check_cap(max(first, cap + 1), cap)
     memo = MemoStore()
     # Column by column, so that consecutive explicit sums share their power
-    # exponent (m, or n - m for the paper-literal form) or step it by one.
+    # exponent m.
     values = {
         (n, m): route(args, memo, n, m)
         for m in range(args.max_n + 1)

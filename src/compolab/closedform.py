@@ -10,10 +10,10 @@ the test suite plays against each other and against direct enumeration:
 * the minimax identity comp(n, m) = minimax_count_formula(n+1, m+1).
 
 Every explicit Stirling sum reads its powers k^e from the power vector of a
-``MemoStore``, so that a table whose consecutive cells share an exponent (or
-step it up by one) pays one small-int multiply per power, not a ``pow``.  The
-vector holds powers of integers and never a comp value, and the recursion
-never reads it, so the explicit and recursive routes still share no values.
+``MemoStore``, so that the cells of one table column, which share the exponent
+m, compute each power k^m once for the whole column.  The vector holds powers
+of integers and never a comp value, and the recursion never reads it, so the
+explicit and recursive routes still share no values.
 
 It also provides the two partition statistics the identity rests on (minimax:
 smallest per-block maximum; maximin: largest per-block minimum), the
@@ -79,13 +79,10 @@ class MemoStore:
     def powers(self, e: int, length: int) -> tuple[int, ...]:
         """(1**e, 2**e, ..., length**e), from the kept power vector.
 
-        The same e extends the vector; e one above the kept exponent
-        multiplies each entry by its base first; any other e rebuilds it.
+        The same e extends the vector; any other e rebuilds it.
         """
         exponent, vector = self._powers
-        if e == exponent + 1:
-            vector = tuple(map(operator.mul, vector, range(1, len(vector) + 1)))
-        elif e != exponent:
+        if e != exponent:
             vector = ()
         if len(vector) < length:
             vector += tuple(k**e for k in range(len(vector) + 1, length + 1))
@@ -157,9 +154,8 @@ def _stirling_power_sum(d: int, e: int, store: MemoStore) -> int:
 def comp_count_explicit(n: int, m: int, memo: MemoStore | None = None) -> int:
     """comp(n, m) by the explicit Stirling sum: sum_{k=1}^{n-m+1} S(n-m, k-1) * k^m.
 
-    ``memo`` lends its power vector, so that cells of one column (same m) or
-    of neighbouring columns reuse their powers; ``memo=None`` uses a fresh
-    store for this call only.
+    ``memo`` lends its power vector, so that the cells of one column (same m)
+    reuse their powers; ``memo=None`` uses a fresh store for this call only.
     """
     _check_pair(n, m)
     return _stirling_power_sum(n - m, m, MemoStore() if memo is None else memo)
