@@ -12,17 +12,26 @@ pointwise and exhaustively — round trips, injectivity, and matching counts;
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Iterable, NamedTuple, Optional
 
 from .enumeration import (
     Partition,
-    compositions,
+    _block_stream,
+    _composition_states,
     is_composition,
     minimax_vertex,
-    set_partitions,
 )
-from .errors import InvalidParametersError
-from .graphs import LabelledGraph, complete_minus_clique, delete_vertex, label_mask
+from .errors import InvalidParametersError, check_cap
+from .graphs import (
+    LabelledGraph,
+    complete_minus_clique,
+    delete_vertex,
+    label_mask,
+    mask_connected,
+    mask_labels,
+)
 
 
 class BijectionReport(NamedTuple):
@@ -65,13 +74,7 @@ def forward(p: Partition, expected_minimax: Optional[int] = None) -> Partition:
         raise InvalidParametersError(
             f"minimax vertex is {v}, expected {expected_minimax}"
         )
-    new_blocks: list[tuple[int, ...]] = []
-    for block in p.blocks():
-        if v in block:
-            new_blocks.extend((x,) for x in block if x != v)
-        else:
-            new_blocks.append(block)
-    return Partition.from_blocks(new_blocks)
+    return Partition.from_blocks(map(mask_labels, _delete(p.block_bitsets(), v)))
 
 
 def backward(c: Partition, n: int, m: int) -> Partition:
@@ -82,22 +85,44 @@ def backward(c: Partition, n: int, m: int) -> Partition:
         raise InvalidParametersError(
             f"expected a composition of the target graph for n={n}, m={m}"
         )
-    return _insert(c, m)
+    return Partition.from_blocks(map(mask_labels, _insert(c.block_bitsets(), m)))
 
 
-def _insert(c: Partition, m: int) -> Partition:
-    """``backward`` without its checks, for a ``c`` already known to be a
-    composition of the target graph."""
-    v = m + 1
-    merged = [v]
-    new_blocks: list[tuple[int, ...]] = []
-    for block in c.blocks():
-        if len(block) == 1 and block[0] <= m:
-            merged.append(block[0])
+# The two maps work on partitions given as label bitsets, one per block, and
+# return them sorted: a canonical form that lists compare directly.
+
+def _delete(p: Iterable[int], v: int) -> list[int]:
+    """``forward`` without its checks: the blocks of p with label v deleted,
+    its block-mates split into singletons."""
+    bit = 1 << v
+    out = []
+    for block in p:
+        if block & bit:
+            rest = block ^ bit
+            while rest:
+                low = rest & -rest
+                out.append(low)
+                rest ^= low
         else:
-            new_blocks.append(block)
-    new_blocks.append(tuple(merged))
-    return Partition.from_blocks(new_blocks)
+            out.append(block)
+    out.sort()
+    return out
+
+
+def _insert(c: Iterable[int], m: int) -> list[int]:
+    """``backward`` without its checks, for a ``c`` already known to be a
+    composition of the target graph: label m+1 joins every singleton below it."""
+    bit = 1 << (m + 1)
+    merged = bit
+    out = []
+    for block in c:
+        if block < bit and not block & (block - 1):
+            merged |= block
+        else:
+            out.append(block)
+    out.append(merged)
+    out.sort()
+    return out
 
 
 def verify(n: int, m: int, cap: Optional[int] = None) -> BijectionReport:
@@ -121,42 +146,57 @@ def verify_row(n: int, cap: Optional[int] = None) -> list[BijectionReport]:
 
 def _verify_cells(n: int, ms: Iterable[int], cap: Optional[int]) -> list[BijectionReport]:
     """The reports of the cells (n, m), m in ms: one walk over the partitions
-    of {1..n+1} hands each to the cell of its minimax vertex."""
+    of {1..n+1} hands each to the cell of its minimax vertex.
+
+    Partitions are kept as label bitsets throughout and go through the same
+    ``_delete`` and ``_insert`` as ``forward`` and ``backward``.
+    """
     graphs = {m: target_graph(n, m) for m in ms}
+    check_cap(n + 1, cap)
     failed: set[int] = set()
     images: dict[int, set[bytes]] = {m: set() for m in graphs}
     lhs_counts = dict.fromkeys(graphs, 0)
-    for p in set_partitions(n + 1, cap=cap):
-        v = minimax_vertex(p)
+    width = (n + 9) // 8  # bytes per label bitset: labels run up to n + 1
+    for _, blocks in _block_stream(n + 1):
+        # Position i of the walk holds label i + 1; the smallest block top is
+        # the minimax vertex.
+        p = sorted(mask << 1 for mask in blocks[:blocks.index(0)])
+        v = min(map(int.bit_length, p)) - 1
         m = v - 1
         if m not in graphs:
             continue
         lhs_counts[m] += 1
-        prefix_mask = label_mask(range(1, v))
         # Structural facts forced by the minimax choice: no block may sit
-        # entirely inside the independent prefix, and the block of v contains
-        # nothing above the prefix except v itself.
-        for block_mask in p.block_bitsets():
-            if block_mask & ~prefix_mask == 0:
+        # entirely inside the independent prefix {1..m}, and the block of v
+        # contains nothing above the prefix except v itself.
+        bit = 1 << v
+        for block in p:
+            above = block >> v << v
+            if not above or (block & bit and above != bit):
                 failed.add(m)
-            if (block_mask >> v) & 1 and block_mask & ~prefix_mask != 1 << v:
-                failed.add(m)
-        image = forward(p, expected_minimax=v)
+        image = _delete(p, v)
         g = graphs[m]
-        if label_mask(image.labels) != g.vertex_mask or not is_composition(g, image):
+        if (
+            reduce(or_, image, 0) != g.vertex_mask
+            or not all(mask_connected(block, g.adj) for block in image)
+            or _insert(image, m) != p
+        ):
             failed.add(m)
-        elif _insert(image, m) != p:
-            failed.add(m)
-        # Its labels are {1..n+1} minus v, so the RGS names it.  target_graph
-        # allows at most 64 labels, so each entry fits in one byte.
-        images[m].add(bytes(image.rgs))
+        images[m].add(b"".join([block.to_bytes(width, "little") for block in image]))
     reports = []
     for m, g in graphs.items():
+        v = m + 1
+        low = (1 << m) - 1
         rhs_count = 0
-        for comp in compositions(g, cap=cap):
+        for _, blocks in _composition_states(g, cap):
             rhs_count += 1
-            back = _insert(comp.partition, m)
-            if minimax_vertex(back) != m + 1 or forward(back) != comp.partition:
+            # Position i holds label i + 1 below the deleted vertex v, and
+            # label i + 2 from it on.
+            c = sorted(
+                (mask & low) << 1 | (mask >> m) << (v + 1) for mask in blocks[:blocks.index(0)]
+            )
+            back = _insert(c, m)
+            if min(map(int.bit_length, back)) - 1 != v or _delete(back, v) != c:
                 failed.add(m)
         reports.append(BijectionReport(
             n=n,

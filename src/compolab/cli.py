@@ -14,7 +14,8 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from itertools import islice
 
 from . import closedform, numtheory
 from .closedform import MemoStore
@@ -87,7 +88,8 @@ def _kj_brute(a, memo, n, m, j):
 
 
 # kind -> (required parameters, {method: route}); the first method is the
-# kind's default.  A route is called as route(args, memo, *parameters).
+# kind's default.  A route is called as route(args, memo, *parameters), where
+# memo is the MemoStore that a table or a suite shares, or None for one value.
 ROUTES: dict[str, tuple[tuple[str, ...], dict[str, Route]]] = {
     "comp": (("n", "m"), {
         "recursive": lambda a, memo, n, m: closedform.comp_count_recursive(n, m, memo=memo),
@@ -151,7 +153,7 @@ def _require(args: argparse.Namespace, *names: str) -> list[int]:
 
 def cmd_value(args: argparse.Namespace) -> int:
     method, params, route = _select_route(args)
-    value = route(args, MemoStore(), *_require(args, *params))
+    value = route(args, None, *_require(args, *params))
     record = OutputRecord(
         n=args.n,
         m=args.m if "m" in params else None,
@@ -342,12 +344,42 @@ def _read_text(path: str) -> str:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
 
 
+class _BlockText(dict):
+    """Position bitset -> block text such as ``{2,5}``, filled as masks are met."""
+
+    def __init__(self, labels: tuple[int, ...]):
+        super().__init__()
+        self.labels = labels
+
+    def __missing__(self, mask: int) -> str:
+        text = self[mask] = "{" + ",".join(
+            str(label) for i, label in enumerate(self.labels) if mask >> i & 1
+        ) + "}"
+        return text
+
+
+def _composition_lines(g, cap: int | None = None) -> Iterator[str]:
+    """``str(c)`` for every composition c of g, rendered from the walker's block bitsets."""
+    from . import enumeration
+
+    states = enumeration._composition_states(g, cap)
+    text = _BlockText(g.labels)
+    return ("|".join(map(text.__getitem__, blocks[:blocks.index(0)])) for _, blocks in states)
+
+
+# Lines per write: one write per line would be one system call each on an
+# unbuffered stdout.
+_LINES_PER_WRITE = 4096
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    from . import enumeration, graphs
+    from . import graphs
 
     g = graphs.parse_graph_file(_read_text(args.graph_file))
-    for comp in enumeration.compositions(g, cap=args.max_brute_n):
-        print(comp)
+    lines = _composition_lines(g, args.max_brute_n)
+    while chunk := list(islice(lines, _LINES_PER_WRITE)):
+        chunk.append("")
+        sys.stdout.write("\n".join(chunk))
     return EXIT_OK
 
 

@@ -9,11 +9,13 @@ the test suite plays against each other and against direct enumeration:
 * an explicit Stirling sum, comp(n, m) = sum_{k=1}^{n-m+1} S(n-m, k-1) * k^m,
 * the minimax identity comp(n, m) = minimax_count_formula(n+1, m+1).
 
-Every explicit Stirling sum reads its powers k^e from the power vector of a
-``MemoStore``, so that the cells of one table column, which share the exponent
-m, compute each power k^m once for the whole column.  The vector holds powers
-of integers and never a comp value, and the recursion never reads it, so the
-explicit and recursive routes still share no values.
+An explicit Stirling sum that is lent a ``MemoStore`` reads its powers k^e
+from the store's power vector, so that the cells of one table column, which
+share the exponent m, compute each power k^m once for the whole column.  The
+vector holds powers of integers and never a comp value, and the recursion
+never reads it, so the explicit and recursive routes still share no values.
+A sum with no store computes each power as it adds its term, and so holds
+one term at a time.
 
 It also provides the two partition statistics the identity rests on (minimax:
 smallest per-block maximum; maximin: largest per-block minimum), the
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import repeat
 
 from .errors import InconsistentResultError, InvalidParametersError
 from .numtheory import bell_numbers, stirling_row
@@ -145,20 +148,25 @@ def _comp_recursive(n: int, m: int, store: MemoStore) -> int:
     return total
 
 
-def _stirling_power_sum(d: int, e: int, store: MemoStore) -> int:
+def _stirling_power_sum(d: int, e: int, store: MemoStore | None) -> int:
     """sum_{k=1}^{d+1} S(d, k-1) * k^e, from one Stirling row and the store's
-    power vector."""
-    return sum(map(operator.mul, stirling_row(d), store.powers(e, d + 1)))
+    power vector, or with no store, one power at a time."""
+    if store is None:
+        powers = map(pow, range(1, d + 2), repeat(e))
+    else:
+        powers = store.powers(e, d + 1)
+    return sum(map(operator.mul, stirling_row(d), powers))
 
 
 def comp_count_explicit(n: int, m: int, memo: MemoStore | None = None) -> int:
     """comp(n, m) by the explicit Stirling sum: sum_{k=1}^{n-m+1} S(n-m, k-1) * k^m.
 
     ``memo`` lends its power vector, so that the cells of one column (same m)
-    reuse their powers; ``memo=None`` uses a fresh store for this call only.
+    reuse their powers; with ``memo=None`` each power is computed as its term
+    is added.
     """
     _check_pair(n, m)
-    return _stirling_power_sum(n - m, m, MemoStore() if memo is None else memo)
+    return _stirling_power_sum(n - m, m, memo)
 
 
 def comp_count_paper_literal(n: int, m: int, memo: MemoStore | None = None) -> int:
@@ -169,7 +177,7 @@ def comp_count_paper_literal(n: int, m: int, memo: MemoStore | None = None) -> i
     Do not use for real counts.  ``memo`` is used as in ``comp_count_explicit``.
     """
     _check_pair(n, m)
-    return _stirling_power_sum(m, n - m, MemoStore() if memo is None else memo)
+    return _stirling_power_sum(m, n - m, memo)
 
 
 def minimax_count_formula(n: int, m: int) -> int:
@@ -180,7 +188,7 @@ def minimax_count_formula(n: int, m: int) -> int:
     """
     if n < 1 or not (1 <= m <= n):
         raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
-    return _stirling_power_sum(n - m, m - 1, MemoStore())
+    return _stirling_power_sum(n - m, m - 1, None)
 
 
 def maximin_count_formula(n: int, m: int) -> int:
@@ -193,7 +201,7 @@ def maximin_count_formula(n: int, m: int) -> int:
     """
     if n < 1 or not (1 <= m <= n):
         raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
-    return _stirling_power_sum(m - 1, n - m, MemoStore())
+    return _stirling_power_sum(m - 1, n - m, None)
 
 
 def k1_count_formula(n: int, m: int) -> int:

@@ -108,14 +108,6 @@ class Partition(Frozen):
         )
 
 
-def _trusted(cls, **fields):
-    """An immutable ``cls`` built from fields already known to be valid; no checks run."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 class Composition(Frozen):
     """A partition of a graph's vertex set whose blocks all induce connected subgraphs."""
 
@@ -135,7 +127,19 @@ class Composition(Frozen):
         return str(self.partition)
 
 
-def _block_stream(n: int, prefix: Sequence[int] = ()) -> Iterator[tuple[list[int], list[int]]]:
+# Stream-built objects skip the public checks: their fields are set through
+# the slot descriptors, which also bypass Frozen.__setattr__.
+_new = object.__new__
+_set_labels = Partition.labels.__set__
+_set_rgs = Partition.rgs.__set__
+_set_graph = Composition.graph.__set__
+_set_partition = Composition.partition.__set__
+
+
+_State = tuple[list[int], list[int]]  # the walker's (rgs, blocks), see _block_stream
+
+
+def _block_stream(n: int, prefix: Sequence[int] = ()) -> Iterator[_State]:
     """Yield (rgs, blocks) for every RGS of length n that extends prefix, in lexicographic order.
 
     Both lists change in place and the same tuple is yielded each time.
@@ -191,7 +195,10 @@ def partitions_of(labels: Iterable[int], cap: Optional[int] = None) -> Iterator[
 
 def _partition_stream(ground: tuple[int, ...]) -> Iterator[Partition]:
     for rgs, _ in _block_stream(len(ground)):
-        yield _trusted(Partition, labels=ground, rgs=tuple(rgs))
+        partition = _new(Partition)
+        _set_labels(partition, ground)
+        _set_rgs(partition, tuple(rgs))
+        yield partition
 
 
 def set_partitions(n: int, cap: Optional[int] = None) -> Iterator[Partition]:
@@ -214,21 +221,37 @@ def is_composition(g: LabelledGraph, p: Partition) -> bool:
 
 def compositions(g: LabelledGraph, cap: Optional[int] = None) -> Iterator[Composition]:
     """Every composition of g, in the set_partitions order of its vertex set."""
+    return _composition_stream(g, _composition_states(g, cap))
+
+
+def _composition_states(g: LabelledGraph, cap: Optional[int] = None) -> Iterator[_State]:
+    """The walker's state at each composition of g, position i standing for
+    ``g.labels[i]``.  The cap is checked at the call."""
     check_cap(g.n, cap)
-    return _composition_stream(g, _connectivity_table(_position_adjacency(g)))
+    return _connected_states(g.n, _connectivity_table(_position_adjacency(g)))
 
 
-def _composition_stream(g: LabelledGraph, conn: Sequence[int]) -> Iterator[Composition]:
-    """Filter the block stream by connectivity; build objects only for hits."""
-    labels = g.labels
-    for rgs, blocks in _block_stream(len(labels)):
-        for mask in blocks:
+def _connected_states(n: int, conn: Sequence[int]) -> Iterator[_State]:
+    """Filter the block stream by connectivity."""
+    for state in _block_stream(n):
+        for mask in state[1]:
             if not mask:
-                partition = _trusted(Partition, labels=labels, rgs=tuple(rgs))
-                yield _trusted(Composition, graph=g, partition=partition)
+                yield state
                 break
             if not conn[mask]:
                 break
+
+
+def _composition_stream(g: LabelledGraph, states: Iterator[_State]) -> Iterator[Composition]:
+    labels = g.labels
+    for rgs, _ in states:
+        partition = _new(Partition)
+        _set_labels(partition, labels)
+        _set_rgs(partition, tuple(rgs))
+        composition = _new(Composition)
+        _set_graph(composition, g)
+        _set_partition(composition, partition)
+        yield composition
 
 
 # ---------------------------------------------------------------------------

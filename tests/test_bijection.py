@@ -145,3 +145,53 @@ def test_verify_row_equals_verify_per_cell(monkeypatch):
     )
     reports = bijection.verify_row(4)
     assert [r.round_trip_ok for r in reports] == [m != 2 for m in range(5)]
+
+
+def _tuple_forward(p):
+    """forward as built from label tuples, the reference for the bitset map."""
+    v = minimax_vertex(p)
+    blocks = []
+    for block in p.blocks():
+        if v in block:
+            blocks.extend((x,) for x in block if x != v)
+        else:
+            blocks.append(block)
+    return Partition.from_blocks(blocks)
+
+
+def _tuple_insert(c, m):
+    """backward's insertion as built from label tuples."""
+    merged = [m + 1]
+    blocks = []
+    for block in c.blocks():
+        if len(block) == 1 and block[0] <= m:
+            merged.append(block[0])
+        else:
+            blocks.append(block)
+    return Partition.from_blocks(blocks + [merged])
+
+
+def test_bitset_maps_match_the_tuple_maps():
+    for n in range(1, 8):
+        for p in set_partitions(n):
+            v = minimax_vertex(p)
+            image = _tuple_forward(p)
+            back = _tuple_insert(image, v - 1)
+            assert bijection._delete(p.block_bitsets(), v) == sorted(image.block_bitsets()), p
+            assert bijection._insert(image.block_bitsets(), v - 1) == sorted(back.block_bitsets()), p
+            assert forward(p) == image and backward(image, n - 1, v - 1) == back, p
+
+
+def test_verify_row_reports_a_merged_image_in_its_cell_alone(monkeypatch):
+    # A forward map that sends every partition of cell m = 2 to one image.
+    real_delete = bijection._delete
+    first = {}
+
+    def merging(p, v):
+        image = real_delete(p, v)
+        return first.setdefault(v, image) if v == 3 else image
+
+    monkeypatch.setattr(bijection, "_delete", merging)
+    reports = bijection.verify_row(4)
+    assert [r.injective_ok for r in reports] == [m != 2 for m in range(5)]
+    assert reports[2].lhs_count > 1

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import sys
 
 import pytest
@@ -20,6 +21,8 @@ from compolab.closedform import (
     comp_count_paper_literal,
     comp_count_recursive,
 )
+from compolab.enumeration import compositions
+from compolab.graphs import complete, from_vertices_and_edges
 
 
 def run(capsys, *argv):
@@ -155,17 +158,20 @@ class _ClosedPipe(io.StringIO):
         return self.fd
 
 
-def test_broken_pipe_exits_2(monkeypatch, capsys):
-    read_end, write_end = os.pipe()
-    try:
-        monkeypatch.setattr(sys, "stdout", _ClosedPipe(write_end))
-        code = main(["table", "comp", "--max-n", "6"])
-    finally:
-        os.close(read_end)
-        os.close(write_end)
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "Traceback" not in err
+def test_broken_pipe_exits_2(monkeypatch, capsys, tmp_path):
+    graph = tmp_path / "k4.graph"
+    graph.write_text("n 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    for argv in (["table", "comp", "--max-n", "6"], ["enumerate", str(graph)]):
+        read_end, write_end = os.pipe()
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(write_end))
+            code = main(argv)
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert code == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
 
 
 class _FullDevice(_ClosedPipe):
@@ -393,6 +399,24 @@ def test_enumerate_path_graph(tmp_path, capsys):
         "{1}|{2,3}",
         "{1}|{2}|{3}",
     ]
+
+
+def test_enumerate_lines_read_as_the_compositions_print(tmp_path, capsys):
+    # The command renders its lines from the walker's block bitsets.
+    rng = random.Random(9)
+    graphs = [from_vertices_and_edges([], []), from_vertices_and_edges([7], [])]
+    for _ in range(40):
+        labels = sorted(rng.sample(range(1, 21), rng.randint(2, 9)))
+        pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+        graphs.append(from_vertices_and_edges(labels, rng.sample(pairs, rng.randint(0, len(pairs)))))
+    for g in graphs:
+        assert list(cli._composition_lines(g)) == [str(c) for c in compositions(g)], g
+    # Bell(8) = 4140 compositions: more lines than one write takes.
+    f = tmp_path / "k8.graph"
+    f.write_text("n 8\n" + "".join(f"{u} {v}\n" for u in range(1, 9) for v in range(u + 1, 9)))
+    code, out, _ = run(capsys, "enumerate", str(f))
+    assert 4140 > cli._LINES_PER_WRITE
+    assert code == 0 and out == "".join(f"{c}\n" for c in compositions(complete(8)))
 
 
 def test_enumerate_complete_graph(tmp_path, capsys):
