@@ -34,31 +34,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-class OutputRecord:
-    """One computed value, ready for text or JSON rendering."""
-
-    __slots__ = ("n", "value", "method", "m", "j")
-
-    def __init__(
-        self, n: int, value: str, method: str, m: int | None = None, j: int | None = None
-    ):
-        self.n = n
-        self.value = value  # exact decimal
-        self.method = method
-        self.m = m
-        self.j = j
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"n": self.n}
-        if self.m is not None:
-            out["m"] = self.m
-        if self.j is not None:
-            out["j"] = self.j
-        out["value"] = self.value
-        out["method"] = self.method
-        return out
-
-
 # ---------------------------------------------------------------------------
 # routes
 # ---------------------------------------------------------------------------
@@ -129,7 +104,7 @@ def _method_choices(kinds) -> list[str]:
 def _select_route(args: argparse.Namespace) -> tuple[str, tuple[str, ...], Route]:
     """The method, required parameters and route that ``args`` ask for."""
     params, routes = ROUTES[args.kind]
-    method = "paper-literal" if args.paper_literal else args.method or next(iter(routes))
+    method = args.method or next(iter(routes))
     if method not in routes:
         raise InvalidParametersError(
             f"method {method!r} not available for kind {args.kind!r}"
@@ -153,18 +128,12 @@ def _require(args: argparse.Namespace, *names: str) -> list[int]:
 
 def cmd_value(args: argparse.Namespace) -> int:
     method, params, route = _select_route(args)
-    value = route(args, None, *_require(args, *params))
-    record = OutputRecord(
-        n=args.n,
-        m=args.m if "m" in params else None,
-        j=args.j if "j" in params else None,
-        value=str(value),
-        method=method,
-    )
+    values = _require(args, *params)
+    value = str(route(args, None, *values))
     if args.format == "json":
-        print(json.dumps(record.to_json_dict()))
+        print(json.dumps({**dict(zip(params, values)), "value": value, "method": method}))
     else:
-        print(record.value)
+        print(value)
     return EXIT_OK
 
 
@@ -172,62 +141,57 @@ def cmd_value(args: argparse.Namespace) -> int:
 # table
 # ---------------------------------------------------------------------------
 
-def _table_cells(args: argparse.Namespace) -> list[OutputRecord]:
+def _table_rows(args: argparse.Namespace, first: int, route: Route) -> list[list[str]]:
+    """Rows ``first..--max-n`` of the table, each cell as a decimal string."""
+    memo = MemoStore()
+    rows: list[list[str]] = [[] for _ in range(first, args.max_n + 1)]
+    # Column by column, so that consecutive explicit sums share their power
+    # exponent m; each row still fills in order of m.
+    for m in range(args.max_n + 1):
+        for n in range(max(first, m), args.max_n + 1):
+            rows[n - first].append(str(route(args, memo, n, m)))
+    return rows
+
+
+def _render_table(rows: list[list[str]], fmt: str, first: int, method: str) -> str:
+    max_n = first + len(rows) - 1
+    if fmt == "json":
+        return json.dumps([
+            {"n": n, "m": m, "value": value, "method": method}
+            for n, row in enumerate(rows, first) for m, value in enumerate(row)
+        ], indent=2)
+    if fmt == "csv":
+        header = "n," + ",".join(f"m{m}" for m in range(max_n + 1))
+        lines = [header]
+        for n, row in enumerate(rows, first):
+            lines.append(",".join([str(n), *row]))
+        return "\n".join(lines)
+    # text: aligned lower-triangular grid
+    width = max(
+        [len(value) for row in rows for value in row] + [len(str(max_n)), len(f"m{max_n}"), 3]
+    )
+    header = " " * (width + 3) + " ".join(f"m{m}".rjust(width) for m in range(max_n + 1))
+    lines = [header.rstrip()]
+    for n, row in enumerate(rows, first):
+        lines.append(
+            str(n).rjust(width)
+            + " | "
+            + " ".join(value.rjust(width) for value in row)
+        )
+    return "\n".join(lines)
+
+
+def cmd_table(args: argparse.Namespace) -> int:
     first = _TABLE_FIRST_ROW[args.kind]
     if args.max_n < first:
         raise InvalidParametersError(
             f"--max-n must be >= {first} for the {args.kind} table"
         )
     method, _, route = _select_route(args)
-    cap = BRUTE_FORCE_CAP if args.max_brute_n is None else args.max_brute_n
-    if method == "brute" and args.max_n > cap:
+    if method == "brute" and args.max_n > args.max_brute_n:
         # Refuse before any cell, naming the first row over the cap.
-        check_cap(max(first, cap + 1), cap)
-    memo = MemoStore()
-    # Column by column, so that consecutive explicit sums share their power
-    # exponent m.
-    values = {
-        (n, m): route(args, memo, n, m)
-        for m in range(args.max_n + 1)
-        for n in range(max(first, m), args.max_n + 1)
-    }
-    return [
-        OutputRecord(n=n, m=m, value=str(values[n, m]), method=method)
-        for n in range(first, args.max_n + 1)
-        for m in range(n + 1)
-    ]
-
-
-def _render_table(cells: list[OutputRecord], fmt: str, max_n: int) -> str:
-    by_row: dict[int, list[OutputRecord]] = {}
-    for cell in cells:
-        by_row.setdefault(cell.n, []).append(cell)
-    rows = sorted(by_row)
-    if fmt == "json":
-        return json.dumps([c.to_json_dict() for c in cells], indent=2)
-    if fmt == "csv":
-        header = "n," + ",".join(f"m{m}" for m in range(max_n + 1))
-        lines = [header]
-        for n in rows:
-            lines.append(",".join([str(n)] + [c.value for c in by_row[n]]))
-        return "\n".join(lines)
-    # text: aligned lower-triangular grid
-    width = max(
-        [len(c.value) for c in cells] + [len(str(max_n)), len(f"m{max_n}"), 3]
-    )
-    header = " " * (width + 3) + " ".join(f"m{m}".rjust(width) for m in range(max_n + 1))
-    lines = [header.rstrip()]
-    for n in rows:
-        lines.append(
-            str(n).rjust(width)
-            + " | "
-            + " ".join(c.value.rjust(width) for c in by_row[n])
-        )
-    return "\n".join(lines)
-
-
-def cmd_table(args: argparse.Namespace) -> int:
-    print(_render_table(_table_cells(args), args.format, args.max_n))
+        check_cap(max(first, args.max_brute_n + 1), args.max_brute_n)
+    print(_render_table(_table_rows(args, first, route), args.format, first, method))
     return EXIT_OK
 
 
@@ -313,13 +277,11 @@ _SUITE_BRUTE_OFFSET = {"threeway": 0, "bijection": 1, "k1": 0, "reflection": 0}
 
 def cmd_verify(args: argparse.Namespace) -> int:
     offset = _SUITE_BRUTE_OFFSET.get(args.suite)
-    if offset is not None:
-        limit = BRUTE_FORCE_CAP if args.max_brute_n is None else args.max_brute_n
-        if args.n_max + offset > limit:
-            raise ResourceLimitError(
-                f"suite {args.suite!r} with --n-max {args.n_max} would enumerate "
-                f"{args.n_max + offset} vertices, above the brute-force cap of {limit}"
-            )
+    if offset is not None and args.n_max + offset > args.max_brute_n:
+        raise ResourceLimitError(
+            f"suite {args.suite!r} with --n-max {args.n_max} would enumerate "
+            f"{args.n_max + offset} vertices, above the brute-force cap of {args.max_brute_n}"
+        )
     checks = _SUITES[args.suite](args.n_max, args, MemoStore())
     failures = 0
     for description, passed in checks:
@@ -451,11 +413,21 @@ def cmd_bfile(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _add_method(parser: argparse.ArgumentParser, kinds) -> None:
+    route = parser.add_mutually_exclusive_group()
+    route.add_argument("--method", choices=_method_choices(kinds), default=None)
+    route.add_argument(
+        "--paper-literal", dest="method", action="store_const", const="paper-literal",
+        help="shorthand for --method paper-literal: the literal printed form of the "
+        "explicit formula (documents a known erratum)",
+    )
+
+
 def _add_brute(parser: argparse.ArgumentParser, *, workers: bool = True) -> None:
     parser.add_argument(
         "--max-brute-n",
         type=int,
-        default=None,
+        default=BRUTE_FORCE_CAP,
         metavar="N",
         help="override the brute-force enumeration cap (default %d)" % BRUTE_FORCE_CAP,
     )
@@ -480,18 +452,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    paper_literal_help = (
-        "use the literal printed form of the explicit formula (documents a known erratum)"
-    )
 
     p_value = sub.add_parser("value", help="compute one count")
     p_value.add_argument("kind", choices=sorted(ROUTES))
     p_value.add_argument("-n", type=int, required=True)
     p_value.add_argument("-m", "--m", "--k", dest="m", type=int, default=None)
     p_value.add_argument("-j", type=int, default=None)
-    p_value.add_argument("--method", choices=_method_choices(ROUTES), default=None)
+    _add_method(p_value, ROUTES)
     p_value.add_argument("--format", choices=("text", "json"), default="text")
-    p_value.add_argument("--paper-literal", action="store_true", help=paper_literal_help)
     _add_brute(p_value)
     p_value.set_defaults(func=cmd_value)
 
@@ -499,8 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("kind", choices=sorted(_TABLE_FIRST_ROW))
     p_table.add_argument("--max-n", type=int, required=True)
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_table.add_argument("--method", choices=_method_choices(_TABLE_FIRST_ROW), default=None)
-    p_table.add_argument("--paper-literal", action="store_true", help=paper_literal_help)
+    _add_method(p_table, _TABLE_FIRST_ROW)
     _add_brute(p_table)
     p_table.set_defaults(func=cmd_table)
 

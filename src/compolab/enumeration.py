@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import BRUTE_FORCE_CAP, InvalidParametersError, check_cap
+from .errors import BRUTE_FORCE_CAP, InvalidParametersError, ResourceLimitError, check_cap
 from .graphs import Frozen, LabelledGraph, is_connected_induced, label_mask, mask_connected
 
-# Eagerly tabulate subset connectivity up to this many vertices; beyond it the
-# table would dominate the (already enormous) enumeration cost.
-_EAGER_CONN_LIMIT = 14
+# Largest vertex count whose connectivity table is built, whatever the cap: at
+# 20 vertices the table takes 1-2 s and 1 MiB, and a walk over Bell(19)
+# partitions would never end anyway.
+_TABLE_MAX_N = 20
 
 
 class Partition(Frozen):
@@ -272,31 +273,18 @@ def _position_adjacency(g: LabelledGraph) -> list[int]:
     return padj
 
 
-def _connectivity_table(padj: list[int]) -> Sequence[int]:
+def _connectivity_table(padj: list[int]) -> bytearray:
     """conn[mask] = 1 iff the positions in mask induce a connected subgraph."""
     n = len(padj)
-    if n > _EAGER_CONN_LIMIT:
-        return _LazyConnectivity(padj)
+    if n > _TABLE_MAX_N:
+        raise ResourceLimitError(
+            f"{n} vertices need a connectivity table of 2**{n} entries, above the "
+            f"limit of 2**{_TABLE_MAX_N} whatever the brute-force cap"
+        )
     table = bytearray(1 << n)
     for mask in range(1, 1 << n):
         table[mask] = mask_connected(mask, padj)
     return table
-
-
-class _LazyConnectivity:
-    """Dict-backed fallback for vertex counts where the eager table is too large."""
-
-    __slots__ = ("_padj", "_known")
-
-    def __init__(self, padj: list[int]):
-        self._padj = padj
-        self._known: dict[int, bool] = {}
-
-    def __getitem__(self, mask: int) -> bool:
-        got = self._known.get(mask)
-        if got is None:
-            got = self._known[mask] = mask_connected(mask, self._padj)
-        return got
 
 
 def _count_extensions(n: int, conn: Sequence[int], prefix: Sequence[int]) -> int:

@@ -25,7 +25,7 @@ class MalformedInputError(CompolabError, ValueError):
 
 
 class ResourceLimitError(CompolabError, RuntimeError):
-    """A brute-force request exceeds the configured enumeration cap."""
+    """A brute-force request exceeds the enumeration cap or the connectivity table's bound."""
 
 
 class InconsistentResultError(CompolabError, ValueError):

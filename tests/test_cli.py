@@ -53,6 +53,15 @@ def test_value_paper_literal_flag(capsys):
     assert out.strip() == "5"
     code, _, _ = run(capsys, "value", "bell", "-n", "3", "--paper-literal")
     assert code == 2
+    # --paper-literal is --method paper-literal, and cannot be combined with --method.
+    value = ["value", "comp", "-n", "3", "-m", "1"]
+    for fmt in ("text", "json"):
+        shorthand = run(capsys, *value, "--format", fmt, "--paper-literal")
+        assert shorthand == run(capsys, *value, "--format", fmt, "--method", "paper-literal")
+    assert json.loads(shorthand[1])["method"] == "paper-literal"
+    with pytest.raises(SystemExit) as exc:
+        main([*value, "--paper-literal", "--method", "brute"])
+    assert exc.value.code == 2
 
 
 def test_value_kinds(capsys):
@@ -325,6 +334,15 @@ def test_table_brute_over_the_cap_exits_3_before_any_cell(monkeypatch, capsys, k
 def test_table_k1_rejects_paper_literal(capsys):
     code, out, _ = run(capsys, "table", "k1", "--max-n", "4", "--paper-literal")
     assert code == 2 and out == ""
+    table = ["table", "comp", "--max-n", "4"]
+    for fmt in ("text", "csv", "json"):
+        shorthand = run(capsys, *table, "--format", fmt, "--paper-literal")
+        assert shorthand == run(capsys, *table, "--format", fmt, "--method", "paper-literal")
+    assert {r["method"] for r in json.loads(shorthand[1])} == {"paper-literal"}
+    for kind in ("comp", "k1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", kind, "--max-n", "4", "--paper-literal", "--method", "brute"])
+        assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +480,12 @@ def test_enumerate_cap(tmp_path, capsys):
     f = tmp_path / "big.graph"
     f.write_text("n 13\n")
     assert run(capsys, "enumerate", str(f))[0] == 3
+    # Above 20 vertices the connectivity table is refused whatever the cap.
+    f = tmp_path / "path21.graph"
+    f.write_text("n 21\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 21)))
+    code, out, err = run(capsys, "enumerate", str(f), "--max-brute-n", "30")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "2**21" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

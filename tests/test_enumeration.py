@@ -21,6 +21,7 @@ from compolab import (
     from_edge_list,
     from_vertices_and_edges,
     is_composition,
+    is_connected_induced,
     kj_count_brute,
     minimax_count_brute,
     minimax_restricted,
@@ -173,6 +174,23 @@ def test_cap_guards_enumeration():
     with pytest.raises(ResourceLimitError):
         composition_count_brute(complete(6), cap=5)
     assert composition_count_brute(complete(6), cap=6) == bell(6)
+    # Above 20 vertices the connectivity table is refused whatever the cap,
+    # by the call itself, before any next().
+    path21 = from_edge_list(21, [(v, v + 1) for v in range(1, 21)])
+    with pytest.raises(ResourceLimitError, match=r"2\*\*21"):
+        compositions(path21, cap=30)
+    with pytest.raises(ResourceLimitError, match=r"2\*\*21"):
+        composition_count_brute(path21, cap=30)
+
+
+def test_connectivity_table_matches_is_connected_induced_at_16_vertices():
+    rng = random.Random(16)
+    edges = [(u, v) for u in range(1, 17) for v in range(u + 1, 17) if rng.random() < 0.2]
+    g = from_edge_list(16, edges)
+    table = _connectivity_table(_position_adjacency(g))
+    assert len(table) == 1 << 16
+    # Position i holds label i + 1.
+    assert all(table[mask] == is_connected_induced(g, mask << 1) for mask in range(1, 1 << 16))
 
 
 # ---------------------------------------------------------------------------
