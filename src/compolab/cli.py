@@ -62,9 +62,10 @@ def _kj_brute(a, memo, n, m, j):
     return kj_count_brute(n, m, j, cap=a.max_brute_n)
 
 
-# kind -> (required parameters, {method: route}); the first method is the
-# kind's default.  A route is called as route(args, memo, *parameters), where
-# memo is the MemoStore that a table or a suite shares, or None for one value.
+# kind -> (required parameters, {method: route}), in the agreement suites'
+# print order; the default is _DEFAULT_METHOD's, else the first method.  A route
+# is called as route(args, memo, *parameters), where memo is the MemoStore that
+# a table or a suite shares, or None for one value.
 ROUTES: dict[str, tuple[tuple[str, ...], dict[str, Route]]] = {
     "comp": (("n", "m"), {
         "recursive": lambda a, memo, n, m: closedform.comp_count_recursive(n, m, memo=memo),
@@ -93,6 +94,8 @@ ROUTES: dict[str, tuple[tuple[str, ...], dict[str, Route]]] = {
     "binomial": (("n", "m"), {"formula": lambda a, memo, n, m: numtheory.binomial(n, m)}),
 }
 
+_DEFAULT_METHOD = {"comp": "explicit"}
+
 # Kinds that `table` renders, with the first row of each table.
 _TABLE_FIRST_ROW = {"comp": 0, "k1": 1}
 
@@ -104,7 +107,7 @@ def _method_choices(kinds) -> list[str]:
 def _select_route(args: argparse.Namespace) -> tuple[str, tuple[str, ...], Route]:
     """The method, required parameters and route that ``args`` ask for."""
     params, routes = ROUTES[args.kind]
-    method = args.method or next(iter(routes))
+    method = args.method or _DEFAULT_METHOD.get(args.kind) or next(iter(routes))
     if method not in routes:
         raise InvalidParametersError(
             f"method {method!r} not available for kind {args.kind!r}"
@@ -144,12 +147,12 @@ def cmd_value(args: argparse.Namespace) -> int:
 def _table_rows(args: argparse.Namespace, first: int, route: Route) -> list[list[str]]:
     """Rows ``first..--max-n`` of the table, each cell as a decimal string."""
     memo = MemoStore()
-    rows: list[list[str]] = [[] for _ in range(first, args.max_n + 1)]
-    # Column by column, so that consecutive explicit sums share their power
-    # exponent m; each row still fills in order of m.
-    for m in range(args.max_n + 1):
-        for n in range(max(first, m), args.max_n + 1):
-            rows[n - first].append(str(route(args, memo, n, m)))
+    rows = [[""] * (n + 1) for n in range(first, args.max_n + 1)]
+    # Diagonal by diagonal (d = n - m, m ascending), so that consecutive
+    # explicit sums step their weight vector from exponent m to m + 1.
+    for d in range(args.max_n + 1):
+        for m in range(max(first - d, 0), args.max_n - d + 1):
+            rows[m + d - first][m] = str(route(args, memo, m + d, m))
     return rows
 
 

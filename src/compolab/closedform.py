@@ -9,13 +9,14 @@ the test suite plays against each other and against direct enumeration:
 * an explicit Stirling sum, comp(n, m) = sum_{k=1}^{n-m+1} S(n-m, k-1) * k^m,
 * the minimax identity comp(n, m) = minimax_count_formula(n+1, m+1).
 
-An explicit Stirling sum that is lent a ``MemoStore`` reads its powers k^e
-from the store's power vector, so that the cells of one table column, which
-share the exponent m, compute each power k^m once for the whole column.  The
-vector holds powers of integers and never a comp value, and the recursion
-never reads it, so the explicit and recursive routes still share no values.
-A sum with no store computes each power as it adds its term, and so holds
-one term at a time.
+An explicit Stirling sum that is lent a ``MemoStore`` adds up the store's
+weight vector (S(d,0)*1^e, ..., S(d,d)*(d+1)^e).  A table walks its cells by
+diagonal d = n - m with m ascending, so consecutive cells step the exponent
+by one and the vector steps by multiplying each term by its small base k.
+The vector holds Stirling numbers times powers of integers and never a comp
+value, and the recursion never reads it, so the explicit and recursive
+routes still share no values.  A sum with no store computes each power as it
+adds its term, and so holds one term at a time.
 
 It also provides the two partition statistics the identity rests on (minimax:
 smallest per-block maximum; maximin: largest per-block minimum), the
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterator
 from itertools import repeat
 
 from .errors import InconsistentResultError, InvalidParametersError
@@ -49,20 +51,20 @@ class MemoStore:
     recursion's inner sums, keyed (i, m); they live and are cleared with the
     cells but are not cells, so ``len`` and ``items`` do not count them.
 
-    Apart from those, the store keeps one power vector for the explicit
-    Stirling sums, (1**e, ..., L**e) with its exponent e (see ``powers``).  It
-    holds powers of integers, never a comp value, and the recursion never
-    reads it; it is cleared with the cells.
+    Apart from those, the store keeps one weight vector for the explicit
+    Stirling sums, (S(d,0)*1**e, ..., S(d,d)*(d+1)**e) with its d and e (see
+    ``weights``).  It holds no comp value, and the recursion never reads it;
+    it is cleared with the cells.
     """
 
-    __slots__ = ("_table", "_inner", "_powers")
+    __slots__ = ("_table", "_inner", "_weights")
 
     def __init__(self) -> None:
         self._table: dict[tuple[int, int], int] = {}
         self._inner: dict[tuple[int, int], int] = {}
-        # (e, (1**e, ..., L**e)), replaced whole so that a store shared between
-        # threads never pairs an exponent with another exponent's powers.
-        self._powers: tuple[int, tuple[int, ...]] = (0, ())
+        # (d, e, weights), replaced whole so that a store shared between
+        # threads never pairs (d, e) with another pair's weights.
+        self._weights: tuple[int, int, tuple[int, ...]] = (0, 0, (1,))
 
     def get(self, n: int, m: int) -> int | None:
         return self._table.get((n, m))
@@ -79,23 +81,24 @@ class MemoStore:
     def items(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self._table.items())
 
-    def powers(self, e: int, length: int) -> tuple[int, ...]:
-        """(1**e, 2**e, ..., length**e), from the kept power vector.
+    def weights(self, d: int, e: int) -> tuple[int, ...]:
+        """(S(d,0)*1**e, S(d,1)*2**e, ..., S(d,d)*(d+1)**e), from the kept vector.
 
-        The same e extends the vector; any other e rebuilds it.
+        The same (d, e) returns it; (d, e + 1) multiplies each term by its
+        base k; any other pair rebuilds it from Stirling row d.
         """
-        exponent, vector = self._powers
-        if e != exponent:
-            vector = ()
-        if len(vector) < length:
-            vector += tuple(k**e for k in range(len(vector) + 1, length + 1))
-        self._powers = (e, vector)
-        return vector[:length]
+        kept_d, kept_e, vector = self._weights
+        if d != kept_d or e not in (kept_e, kept_e + 1):
+            vector = tuple(_weight_terms(d, e))
+        elif e != kept_e:
+            vector = tuple(map(operator.mul, vector, range(1, d + 2)))
+        self._weights = (d, e, vector)
+        return vector
 
     def clear(self) -> None:
         self._table.clear()
         self._inner.clear()
-        self._powers = (0, ())
+        self._weights = (0, 0, (1,))
 
     def __contains__(self, key: tuple[int, int]) -> bool:
         return key in self._table
@@ -148,22 +151,23 @@ def _comp_recursive(n: int, m: int, store: MemoStore) -> int:
     return total
 
 
+def _weight_terms(d: int, e: int) -> Iterator[int]:
+    """S(d, k-1) * k^e for k = 1..d+1, one power at a time."""
+    return map(operator.mul, stirling_row(d), map(pow, range(1, d + 2), repeat(e)))
+
+
 def _stirling_power_sum(d: int, e: int, store: MemoStore | None) -> int:
-    """sum_{k=1}^{d+1} S(d, k-1) * k^e, from one Stirling row and the store's
-    power vector, or with no store, one power at a time."""
-    if store is None:
-        powers = map(pow, range(1, d + 2), repeat(e))
-    else:
-        powers = store.powers(e, d + 1)
-    return sum(map(operator.mul, stirling_row(d), powers))
+    """sum_{k=1}^{d+1} S(d, k-1) * k^e, from the store's weight vector, or
+    with no store, one term at a time."""
+    return sum(_weight_terms(d, e) if store is None else store.weights(d, e))
 
 
 def comp_count_explicit(n: int, m: int, memo: MemoStore | None = None) -> int:
     """comp(n, m) by the explicit Stirling sum: sum_{k=1}^{n-m+1} S(n-m, k-1) * k^m.
 
-    ``memo`` lends its power vector, so that the cells of one column (same m)
-    reuse their powers; with ``memo=None`` each power is computed as its term
-    is added.
+    ``memo`` lends its weight vector, so that the cells of one diagonal (same
+    n - m, m ascending) step it instead of rebuilding it; with ``memo=None``
+    each power is computed as its term is added.
     """
     _check_pair(n, m)
     return _stirling_power_sum(n - m, m, memo)

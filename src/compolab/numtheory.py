@@ -3,10 +3,11 @@
 Every value is a plain Python int, so counts stay exact at any size.  Two
 tables are grown on demand and retained for the lifetime of the process: the
 Stirling rows that were asked for, each built forward from the highest kept
-row below it, and the Bell numbers, from the Bell (Aitken) triangle of which
-only the last row is kept; a single Stirling number reads neither.  Growth is
-serialized behind a lock, so identical inputs give identical outputs
-regardless of call interleaving.
+row below it, and the Bell numbers that ``bell_numbers`` was asked for, from
+the Bell (Aitken) triangle of which only the last row is kept.  A single
+Stirling number or a single Bell number is one sum and reads neither table.
+Growth is serialized behind a lock, so identical inputs give identical
+outputs regardless of call interleaving.
 """
 
 from __future__ import annotations
@@ -97,10 +98,20 @@ def stirling_row(n: int) -> tuple[int, ...]:
 
 
 def bell(n: int) -> int:
-    """Number of set partitions of an n-element set, from the Bell triangle."""
+    """Number of set partitions of an n-element set, grown from no table:
+    B(n) = sum_r E(r) (n - r)^n / n!, with E(r) = C(n, r) D(r) and D(r) the
+    derangements of r items; D(r) = r D(r-1) + (-1)^r carries E along as
+    E(r) = (n - r + 1) E(r-1) + (-1)^r C(n, r).  A loop over many n should
+    call ``bell_numbers`` instead."""
     _require_natural(n, "n")
-    _grow_bell(n)
-    return _BELL[n]
+    total = 0
+    term = choose = 1  # E(0) and C(n, 0)
+    for r in range(n + 1):
+        if r:
+            choose = choose * (n - r + 1) // r
+            term = (n - r + 1) * term + (-choose if r & 1 else choose)
+        total += term * (n - r) ** n
+    return total // math.factorial(n)
 
 
 def bell_numbers(n: int) -> tuple[int, ...]:

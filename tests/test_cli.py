@@ -23,6 +23,7 @@ from compolab.closedform import (
 )
 from compolab.enumeration import compositions
 from compolab.graphs import complete, from_vertices_and_edges
+from compolab.numtheory import bell_numbers
 
 
 def run(capsys, *argv):
@@ -80,7 +81,7 @@ def test_value_json_record(capsys):
     code, out, _ = run(capsys, "value", "comp", "-n", "4", "-m", "2", "--format", "json")
     assert code == 0
     record = json.loads(out)
-    assert record == {"n": 4, "m": 2, "value": "13", "method": "recursive"}
+    assert record == {"n": 4, "m": 2, "value": "13", "method": "explicit"}
 
 
 def test_value_missing_parameter(capsys):
@@ -131,7 +132,7 @@ def _outcome(route, *values):
 
 def test_every_route_agrees_with_the_default_route():
     for kind, (params, routes) in ROUTES.items():
-        default = next(iter(routes.values()))
+        _, _, default = cli._select_route(argparse.Namespace(kind=kind, method=None))
         for method, route in routes.items():
             if method == "paper-literal":
                 continue  # the documented erratum, checked on its own above
@@ -246,6 +247,7 @@ def test_table_formats_hold_identical_values(capsys):
         for value in line.split(",")[1:]
     ]
     json_cells = [record["value"] for record in json.loads(json_out)]
+    assert {record["method"] for record in json.loads(json_out)} == {"explicit"}
     text_cells = [
         value
         for line in text_out.strip().splitlines()[1:]
@@ -277,10 +279,11 @@ def test_table_k1_brute_matches_reference(capsys):
 
 @pytest.mark.parametrize("method,count", [
     ("explicit", comp_count_explicit), ("paper-literal", comp_count_paper_literal),
+    ("recursive", comp_count_recursive),
 ])
 def test_table_explicit_matches_each_cell_alone(capsys, method, count):
-    # The table evaluates column by column over one store's power vector;
-    # each cell must equal its own sum over a fresh store, in row-major order.
+    # The table evaluates diagonal by diagonal over one store; each cell must
+    # equal its own count over a fresh store, in row-major order.
     expected = [(n, m, str(count(n, m))) for n in range(41) for m in range(n + 1)]
     _, csv_out, _ = run(capsys, "table", "comp", "--max-n", "40", "--format", "csv",
                         "--method", method)
@@ -297,7 +300,7 @@ def test_table_explicit_matches_each_cell_alone(capsys, method, count):
 
 def test_table_explicit_reads_no_memo_cell(monkeypatch, capsys):
     # Wrong cells and inner sums in the table's store must not reach the
-    # explicit route: it shares only the power vector with the recursion.
+    # explicit route: it shares only the weight vector with the recursion.
     def poisoned():
         store = MemoStore()
         for n in range(21):
@@ -311,6 +314,25 @@ def test_table_explicit_reads_no_memo_cell(monkeypatch, capsys):
     assert [(r["n"], r["m"], r["value"]) for r in json.loads(out)] == [
         (n, m, str(comp_count_explicit(n, m))) for n in range(21) for m in range(n + 1)
     ]
+
+
+def test_recursion_reads_no_weight_vector(monkeypatch, capsys):
+    # The recursion must not read the explicit route's weight vector from
+    # the store that a table or a suite shares.
+    def never(self, d, e):
+        raise AssertionError("the weight vector was read")
+
+    monkeypatch.setattr(MemoStore, "weights", never)
+    _, out, _ = run(capsys, "table", "comp", "--max-n", "20", "--format", "json",
+                    "--method", "recursive")
+    assert [(r["n"], r["m"], r["value"]) for r in json.loads(out)] == [
+        (n, m, str(comp_count_explicit(n, m))) for n in range(21) for m in range(n + 1)
+    ]
+    code, out, _ = run(capsys, "verify", "rowsum", "--n-max", "8")
+    b = bell_numbers(9)
+    assert code == 0 and out == "".join(
+        f"ok   row_sum({n}) = {b[n + 1]} = bell({n + 1})\n" for n in range(9)
+    ) + "rowsum: 9/9 identities hold\n"
 
 
 @pytest.mark.parametrize("kind,extra,cap,first_over", [
@@ -365,6 +387,12 @@ def test_verify_reports_each_identity(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 8  # 7 identities + summary
     assert all(line.startswith("ok") for line in lines[:-1])
+    # The agreement suites print comp's methods in table order, not default first.
+    _, out, _ = run(capsys, "verify", "threeway", "--n-max", "2")
+    assert out.splitlines()[:-1] == [
+        f"ok   comp({n},{m}): recursive={c} explicit={c} brute={c}"
+        for n in range(3) for m, c in enumerate(COMP_TABLE[n][:n + 1])
+    ]
 
 
 def test_agreement_suite_takes_every_route_of_its_kind(monkeypatch, capsys):

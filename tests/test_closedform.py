@@ -20,6 +20,7 @@ from compolab import (
     minimax_count_brute,
     minimax_count_formula,
     row_sum,
+    stirling2,
 )
 
 
@@ -229,12 +230,12 @@ def test_memo_store_inner_sums_follow_the_store():
     assert not store._inner and len(store) == 0
 
 
-def test_memo_store_powers_follow_a_random_call_sequence():
-    # The exponent repeats, steps up by one, jumps and falls, and the length
-    # grows and shrinks; every call must still see exact powers.
+def test_memo_store_weights_follow_a_random_call_sequence():
+    # The exponent repeats, steps up by one, jumps and falls, and d stays or
+    # changes; every call must still see the exact weights.
     rng = random.Random(8)
     store = MemoStore()
-    e = 0
+    d = e = 0
     for _ in range(400):
         step = rng.choice(("same", "same", "up", "up", "up", "jump", "fall"))
         if step == "up":
@@ -243,11 +244,13 @@ def test_memo_store_powers_follow_a_random_call_sequence():
             e += rng.randint(2, 9)
         elif step == "fall":
             e = rng.randint(0, e)
-        length = rng.randint(0, 40)
-        assert store.powers(e, length) == tuple(k**e for k in range(1, length + 1)), (e, length)
-    assert store.powers(e, 5) and store._powers[1]
+        if rng.random() < 0.3:
+            d = rng.randint(0, 40)
+        expected = tuple(stirling2(d, k - 1) * k**e for k in range(1, d + 2))
+        assert store.weights(d, e) == expected, (d, e)
+    assert store.weights(7, e + 1) and store._weights[:2] == (7, e + 1)
     store.clear()
-    assert store._powers == (0, ())
+    assert store._weights == (0, 0, (1,))
 
 
 def test_explicit_sums_share_one_store_without_touching_its_cells():
@@ -257,7 +260,7 @@ def test_explicit_sums_share_one_store_without_touching_its_cells():
             assert comp_count_explicit(n, m, memo=store) == comp_count_explicit(n, m), (n, m)
             assert comp_count_paper_literal(n, m, memo=store) == comp_count_paper_literal(n, m)
     assert len(store) == 0 and not store._inner
-    assert len(store._powers[1]) == 31
+    assert store._weights[:2] == (30, 0)  # the last sum's: paper-literal at (30, 30)
 
 
 def test_large_arguments_stay_exact():

@@ -102,8 +102,8 @@ def test_stirling_rows_sum_to_bell():
 
 
 def test_bell_triangle_matches_stirling_row_sums_to_300():
-    # bell() comes from the Bell triangle, stirling_row() from the Stirling
-    # triangle: two independent tables.
+    # bell() is a single sum over derangement counts, stirling_row() comes
+    # from the Stirling triangle: two independent kernels.
     for n in range(301):
         assert bell(n) == sum(stirling_row(n)), n
 
@@ -111,7 +111,8 @@ def test_bell_triangle_matches_stirling_row_sums_to_300():
 def test_bell_numbers_prefix():
     assert bell_numbers(0) == (1,)
     assert bell_numbers(7) == (1, 1, 2, 5, 15, 52, 203, 877)
-    assert bell_numbers(120) == tuple(bell(n) for n in range(121))
+    # bell() sums one value alone, bell_numbers() grows the Bell triangle.
+    assert bell_numbers(400) == tuple(bell(n) for n in range(401))
     with pytest.raises(InvalidParametersError):
         bell_numbers(-1)
 
@@ -125,7 +126,7 @@ def test_bell_keeps_no_stirling_triangle():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["1", "401"]
+    assert out.split() == ["1", "1"]  # bell() grows neither table
 
 
 def test_bell_recurrence():
