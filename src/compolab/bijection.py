@@ -151,8 +151,8 @@ def _verify_cells(n: int, ms: Iterable[int], cap: Optional[int]) -> list[Bijecti
     Partitions are kept as label bitsets throughout and go through the same
     ``_delete`` and ``_insert`` as ``forward`` and ``backward``.
     """
-    graphs = {m: target_graph(n, m) for m in ms}
     check_cap(n + 1, cap)
+    graphs = {m: target_graph(n, m) for m in ms}
     failed: set[int] = set()
     images: dict[int, set[bytes]] = {m: set() for m in graphs}
     lhs_counts = dict.fromkeys(graphs, 0)

@@ -13,14 +13,16 @@ as a bitset of positions: ``bit_length`` is a block's largest label and
 The counters walk the partitions of all labels but the last and score every
 placement of the last label (its own singleton, or a join to each block) from
 one pass over the blocks, so they visit Bell(n - 1) partitions instead of
-Bell(n).  Each placement is still decided from the blocks and the connectivity
-table alone — no closed forms are consulted here, so these routines can serve
-as independent oracles for them.  A cap (default 12) guards against
-accidentally starting Bell(20)-scale runs.
+Bell(n).  One walk scores a whole cached row of the size-restricted minimax
+statistic; minimax is its j = n row.  Each placement is still decided from the
+blocks and the connectivity table alone — no closed forms are consulted here,
+so these routines can serve as independent oracles for them.  A cap (default
+12), checked before the row cache is read, guards against Bell(20)-scale runs.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BRUTE_FORCE_CAP, InvalidParametersError, ResourceLimitError, check_cap
@@ -377,21 +379,7 @@ def minimax_count_brute(n: int, m: int, cap: Optional[int] = None) -> int:
     if n < 1 or not (1 <= m <= n):
         raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
     check_cap(n, cap)
-    # With t1 < t2 the two smallest tops of the k blocks (n if missing), only
-    # the join to t1's block moves the statistic, to t2.
-    count = 0
-    for _, blocks in _block_stream(n - 1):
-        t1 = t2 = n
-        for k, mask in enumerate(blocks):
-            if not mask:
-                count += k * (t1 == m) + (t2 == m)
-                break
-            top = mask.bit_length()
-            if top < t1:
-                t1, t2 = top, t1
-            elif top < t2:
-                t2 = top
-    return count
+    return _statistic_row(n, n)[m]
 
 
 def kj_count_brute(n: int, m: int, j: int, cap: Optional[int] = None) -> int:
@@ -406,23 +394,32 @@ def kj_count_brute(n: int, m: int, j: int, cap: Optional[int] = None) -> int:
     if n < 0 or not (0 <= m <= n):
         raise InvalidParametersError(f"need 0 <= m <= n, got n={n}, m={m}")
     check_cap(n, cap)
+    return _statistic_row(n, min(j, n))[m]
+
+
+@lru_cache(maxsize=BRUTE_FORCE_CAP + 1)
+def _statistic_row(n: int, j: int) -> tuple[int, ...]:
+    """row[m] = number of partitions of {1..n} whose smallest top among blocks
+    of at most j labels is m (0: no such block).  Callers check the cap."""
     if n == 0:
-        return 1  # the empty partition
-    # As in minimax_count_brute over the blocks of at most j labels, n + 1 meaning
-    # none (statistic 0); joined to t1's block, label n counts only while s1 < j.
-    want = m or n + 1
-    count = 0
+        return (1,)  # the empty partition
+    # With t1 < t2 the two smallest qualifying tops (n + 1 if missing) and b1
+    # the block of t1: the singleton {n} and the k - 1 other joins keep t1, and
+    # the join to b1 scores t2, or n if b1 still qualifies once grown.
+    row = [0] * (n + 2)
+    every = j >= n - 1  # every block of n - 1 labels qualifies
     for _, blocks in _block_stream(n - 1):
-        t1, t2, s1 = n + 1, n + 1, 0
+        t1 = t2 = n + 1
+        b1 = 0
         for k, mask in enumerate(blocks):
             if not mask:
-                count += k * (t1 == want) + ((min(t2, n) if s1 < j else t2) == want)
                 break
-            size = mask.bit_count()
-            if size <= j:
+            if every or mask.bit_count() <= j:
                 top = mask.bit_length()
                 if top < t1:
-                    t1, t2, s1 = top, t1, size
+                    t1, t2, b1 = top, t1, mask
                 elif top < t2:
                     t2 = top
-    return count
+        row[t1] += k
+        row[t2 if t2 <= n or b1.bit_count() >= j else n] += 1
+    return (row[-1], *row[1:-1])

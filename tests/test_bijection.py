@@ -5,6 +5,7 @@ import pytest
 from compolab import (
     InvalidParametersError,
     Partition,
+    ResourceLimitError,
     backward,
     bijection,
     comp_count_recursive,
@@ -145,6 +146,14 @@ def test_verify_row_equals_verify_per_cell(monkeypatch):
     )
     reports = bijection.verify_row(4)
     assert [r.round_trip_ok for r in reports] == [m != 2 for m in range(5)]
+
+
+def test_verify_over_the_cap_raises_a_resource_limit():
+    # Checked before any target graph is built: one on 71 labels has no bitset.
+    for check in (lambda: bijection.verify_row(70), lambda: verify(70, 3),
+                  lambda: bijection.verify_row(6, cap=5)):
+        with pytest.raises(ResourceLimitError, match="exceeds the brute-force cap"):
+            check()
 
 
 def _tuple_forward(p):

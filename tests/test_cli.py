@@ -387,6 +387,9 @@ def test_verify_reports_each_identity(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 8  # 7 identities + summary
     assert all(line.startswith("ok") for line in lines[:-1])
+    for n_max in ("-1", "-2"):  # no row to check, and nothing fails
+        assert run(capsys, "verify", "rowsum", "--n-max", n_max) == (
+            0, "rowsum: 0/0 identities hold\n", "")
     # The agreement suites print comp's methods in table order, not default first.
     _, out, _ = run(capsys, "verify", "threeway", "--n-max", "2")
     assert out.splitlines()[:-1] == [
@@ -428,6 +431,30 @@ def test_memo_conflict_is_a_failed_check_without_traceback(monkeypatch, capsys):
 def test_verify_brute_suite_respects_cap(capsys):
     code, _, _ = run(capsys, "verify", "threeway", "--n-max", "13")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "k1", "--n-max", "6"),
+    ("verify", "reflection", "--n-max", "6"),
+    ("table", "k1", "--max-n", "6", "--method", "brute"),
+])
+def test_brute_statistics_walk_each_row_once(monkeypatch, capsys, argv):
+    # The cells of one row (n, j) share one walk over the partitions of
+    # {1..n-1}: rows 1..6, six walks.
+    from compolab import enumeration
+
+    walks = []
+    real = enumeration._block_stream
+
+    def counting(n, prefix=()):
+        walks.append(n)
+        return real(n, prefix)
+
+    monkeypatch.setattr(enumeration, "_block_stream", counting)
+    enumeration._statistic_row.cache_clear()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "FAIL" not in out
+    assert sorted(walks) == [0, 1, 2, 3, 4, 5]
 
 
 # ---------------------------------------------------------------------------

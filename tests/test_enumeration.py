@@ -416,7 +416,8 @@ def test_kj_count_examples():
     assert kj_count_brute(3, 1, 2) == 2
     assert kj_count_brute(0, 0, 1) == 1
     for m in range(1, 8):
-        assert kj_count_brute(7, m, 7) == minimax_count_brute(7, m)
+        for j in (7, 8, 10**20):
+            assert kj_count_brute(7, m, j) == minimax_count_brute(7, m)
     with pytest.raises(InvalidParametersError):
         kj_count_brute(3, 1, 0)
     with pytest.raises(InvalidParametersError):
@@ -425,7 +426,7 @@ def test_kj_count_examples():
 
 def test_kj_counts_partition_bell_completely():
     for n in range(1, 8):
-        for j in range(1, n + 1):
+        for j in range(1, n + 2):
             total = sum(kj_count_brute(n, m, j) for m in range(n + 1))
             assert total == bell(n), (n, j)
 

@@ -37,13 +37,18 @@ def test_unknown_name_raises_an_attribute_error_naming_it():
 
 
 # What a fresh process holds after importing the CLI and after running a
-# closed-form command, then a brute-force one.  Runs without site, whose
-# start-up files could load any of these on their own.
+# closed-form command, then each brute-force statistic and a brute-force
+# count.  Runs without site, whose start-up files could load any of these on
+# their own.
 _SNAPSHOTS = """
 import json, sys
 from compolab.cli import main
 loaded = [set(sys.modules)]
 main(["value", "bell", "-n", "5"])
+loaded.append(set(sys.modules))
+main(["value", "minimax", "-n", "5", "-m", "2", "--method", "brute"])
+loaded.append(set(sys.modules))
+main(["value", "kj", "-n", "5", "-m", "3", "-j", "2"])
 loaded.append(set(sys.modules))
 main(["value", "comp", "-n", "5", "-m", "2", "--method", "brute"])
 loaded.append(set(sys.modules))
@@ -59,9 +64,10 @@ def test_commands_import_only_the_modules_they_run():
     env = dict(os.environ, PYTHONPATH=str(Path(compolab.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-S", "-c", _SNAPSHOTS % (set(_HEAVY),)],
                           env=env, capture_output=True, text=True, check=True)
-    after_import, after_bell, after_brute = json.loads(done.stdout.splitlines()[-1])
-    assert done.stdout.splitlines()[:2] == ["52", "47"]
+    after_import, after_bell, *after_brute = json.loads(done.stdout.splitlines()[-1])
+    assert done.stdout.splitlines()[:4] == ["52", "15", "11", "47"]
     assert after_import == []
     assert after_bell == []
-    assert "compolab.enumeration" in after_brute
-    assert "multiprocessing" not in after_brute
+    for loaded in after_brute:
+        assert "compolab.enumeration" in loaded
+        assert "multiprocessing" not in loaded
