@@ -10,11 +10,12 @@ One walker, ``_block_stream``, yields that order with every block kept in place
 as a bitset of positions: ``bit_length`` is a block's largest label and
 ``bit_count`` its size.  Objects the streams build skip the public checks.
 
-The counters walk the partitions of all labels but the last and score every
-placement of the last label (its own singleton, or a join to each block) from
-one pass over the blocks, so they visit Bell(n - 1) partitions instead of
-Bell(n).  One walk scores a whole cached row of the size-restricted minimax
-statistic; minimax is its j = n row.  Each placement is still decided from the
+The counters walk the partitions of all labels but the last two and score
+every placement of those two (each alone, together, or joined to blocks) from
+one pass over the blocks, so they visit Bell(n - 2) partitions instead of
+Bell(n).  A partition of k blocks stands for (k + 2) + k(k + 1) leaves.  One
+walk scores a whole cached row of the size-restricted minimax statistic;
+minimax is its j = n row.  Each placement is still decided from the
 blocks and the connectivity table alone — no closed forms are consulted here,
 so these routines can serve as independent oracles for them.  A cap (default
 12), checked before the row cache is read, guards against Bell(20)-scale runs.
@@ -290,26 +291,51 @@ def _connectivity_table(padj: list[int]) -> bytearray:
 
 
 def _count_extensions(n: int, conn: Sequence[int], prefix: Sequence[int]) -> int:
-    """Count the partitions that extend an RGS prefix and have every block connected."""
-    if len(prefix) == n:  # n = 0, or the prefix places the last position too
-        _, blocks = next(_block_stream(n, prefix))
-        return int(all(conn[mask] for mask in blocks if mask))
-    # The singleton always counts, and each join to a connected block b with
-    # conn[b | last_bit]; one disconnected block leaves only the join to it.
-    last_bit = 1 << (n - 1)
+    """Count the partitions that extend an RGS prefix and have every block connected.
+
+    The walk covers positions 0..n-3 and scores every placement of p = n - 2
+    and q = n - 1 at once.  For a block B let a = conn[B|p], b = conn[B|q] and
+    c = conn[B|p|q], summed (Σ) over the connected blocks.  A partition with no
+    disconnected block counts 1 + conn[p|q] + Σa + Σb + Σc + Σa·Σb − Σab; one
+    disconnected block x counts a_x + b_x + c_x + a_x·Σb + b_x·Σa; two, x and
+    y, count a_x·b_y + a_y·b_x; three or more count nothing.
+    """
+    if len(prefix) > n - 2:  # n < 2, or the prefix places p or q too
+        return sum(
+            all(conn[mask] for mask in blocks if mask) for _, blocks in _block_stream(n, prefix)
+        )
+    # One sum over a partition's blocks adds all these terms at once, packed in
+    # 8-bit fields: a connected block adds a + b + c − ab, a and b at bits 0, 8
+    # and 16; a disconnected one adds a + b + c, a, b, ab and 1 at bits 24, 32,
+    # 40, 48 and 56.  The table stops at 20 vertices, so no field reaches 256.
+    kinds = []
+    for key in range(16):
+        whole, a, b, c = key & 1, key >> 1 & 1, key >> 2 & 1, key >> 3
+        kinds.append(
+            a + b + c - a * b | a << 8 | b << 16 if whole
+            else (a + b + c) << 24 | a << 32 | b << 40 | a * b << 48 | 1 << 56
+        )
+    p = 1 << (n - 2)
+    weights = [
+        kinds[whole | a << 1 | b << 2 | c << 3]
+        for whole, a, b, c in zip(conn[:p], conn[p:2 * p], conn[2 * p:3 * p], conn[3 * p:])
+    ]
+    weights[0] = 0  # the walker's empty slots
+    weigh = weights.__getitem__
+    alone = 1 + conn[3 * p]
     count = 0
-    for _, blocks in _block_stream(n - 1, prefix):
-        joins, broken = 1, 0
-        for mask in blocks:
-            if not mask:
-                count += conn[broken | last_bit] if broken else joins
-                break
-            if conn[mask]:
-                joins += conn[mask | last_bit]
-            elif broken:
-                break
-            else:
-                broken = mask
+    for _, blocks in _block_stream(n - 2, prefix):
+        s = sum(map(weigh, blocks))
+        broken = s >> 56
+        if broken > 2:
+            continue
+        sum_a, sum_b = s >> 8 & 255, s >> 16 & 255
+        if not broken:
+            count += alone + (s & 255) + sum_a * sum_b
+        elif broken == 1:
+            count += (s >> 24 & 255) + (s >> 32 & 255) * sum_b + (s >> 40 & 255) * sum_a
+        else:
+            count += (s >> 32 & 255) * (s >> 40 & 255) - (s >> 48 & 255)
     return count
 
 
@@ -400,26 +426,56 @@ def kj_count_brute(n: int, m: int, j: int, cap: Optional[int] = None) -> int:
 @lru_cache(maxsize=BRUTE_FORCE_CAP + 1)
 def _statistic_row(n: int, j: int) -> tuple[int, ...]:
     """row[m] = number of partitions of {1..n} whose smallest top among blocks
-    of at most j labels is m (0: no such block).  Callers check the cap."""
-    if n == 0:
-        return (1,)  # the empty partition
-    # With t1 < t2 the two smallest qualifying tops (n + 1 if missing) and b1
-    # the block of t1: the singleton {n} and the k - 1 other joins keep t1, and
-    # the join to b1 scores t2, or n if b1 still qualifies once grown.
-    row = [0] * (n + 2)
-    every = j >= n - 1  # every block of n - 1 labels qualifies
-    for _, blocks in _block_stream(n - 1):
-        t1 = t2 = n + 1
-        b1 = 0
+    of at most j labels is m (0: no such block).  Callers check the cap.
+
+    The walk covers labels 1..n-2 and scores every placement of labels n - 1
+    and n at once: a placement scores the smallest qualifying top among the
+    blocks it leaves untouched, else n - 1 if the block of n - 1 qualifies
+    (and lacks n), else n if the block of n qualifies, else 0.
+    """
+    if n < 2:
+        return ((1,), (0, 1))[n]  # the empty partition; the singleton {1}
+    # t1 < t2 < t3 are the three smallest qualifying tops (z if missing), b1
+    # and b2 the blocks of t1 and t2, and k the number of blocks.  Of the
+    # (k + 2) + k(k + 1) placements, k² + 1 leave b1 untouched and score t1,
+    # and 2k - 1 of the rest leave b2 untouched and score t2.
+    z = n + 1
+    row = [0] * (n + 2)  # row[z] counts statistic 0
+    every = j >= n - 2  # every block of n - 2 labels qualifies
+    for _, blocks in _block_stream(n - 2):
+        t1 = t2 = t3 = z
+        b1 = b2 = 0
         for k, mask in enumerate(blocks):
             if not mask:
                 break
             if every or mask.bit_count() <= j:
                 top = mask.bit_length()
-                if top < t1:
-                    t1, t2, b1 = top, t1, mask
-                elif top < t2:
-                    t2 = top
-        row[t1] += k
-        row[t2 if t2 <= n or b1.bit_count() >= j else n] += 1
-    return (row[-1], *row[1:-1])
+                if top < t2:
+                    if top < t1:
+                        t1, t2, t3, b1, b2 = top, t1, t2, mask, b1
+                    else:
+                        t2, t3, b2 = top, t2, mask
+                elif top < t3:
+                    t3 = top
+        if t1 == z:  # every block has more than j labels, and so has each join
+            row[n - 1] += k + 1  # n - 1 alone
+            row[n] += k + (j > 1)  # n alone beside a grown block, or {n - 1, n}
+            row[z] += k * k + (j == 1)
+            continue
+        row[t1] += k * k + 1
+        grow1 = b1.bit_count() < j  # b1 still qualifies with one more label
+        if t2 < z:
+            row[t2] += 2 * k - 1
+            if t3 < z:
+                row[t3] += 2  # n - 1 joins b1 and n joins b2, or the reverse
+            else:
+                grow2 = b2.bit_count() < j
+                row[n - 1 if grow1 else n if grow2 else z] += 1  # n - 1 joins b1, n joins b2
+                row[n - 1 if grow2 else n if grow1 else z] += 1  # the reverse
+        else:
+            row[n - 1] += 1  # n joins b1
+            row[n - 1 if grow1 else n] += 1  # n - 1 joins b1
+            row[n if b1.bit_count() + 2 <= j else z] += 1  # both join b1
+            row[n - 1 if grow1 else z] += k - 1  # n - 1 joins b1, n another block
+            row[n if grow1 else z] += k - 1  # n joins b1, n - 1 another block
+    return (row[z], *row[1:z])

@@ -433,14 +433,9 @@ def test_verify_brute_suite_respects_cap(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "k1", "--n-max", "6"),
-    ("verify", "reflection", "--n-max", "6"),
-    ("table", "k1", "--max-n", "6", "--method", "brute"),
-])
-def test_brute_statistics_walk_each_row_once(monkeypatch, capsys, argv):
-    # The cells of one row (n, j) share one walk over the partitions of
-    # {1..n-1}: rows 1..6, six walks.
+def _record_walks(monkeypatch):
+    """Wrap the brute-force walker; the list it returns collects the number
+    of positions of every walk."""
     from compolab import enumeration
 
     walks = []
@@ -451,10 +446,33 @@ def test_brute_statistics_walk_each_row_once(monkeypatch, capsys, argv):
         return real(n, prefix)
 
     monkeypatch.setattr(enumeration, "_block_stream", counting)
+    return walks
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "k1", "--n-max", "6"),
+    ("verify", "reflection", "--n-max", "6"),
+    ("table", "k1", "--max-n", "6", "--method", "brute"),
+])
+def test_brute_statistics_walk_each_row_once(monkeypatch, capsys, argv):
+    # The cells of one row (n, j) share one walk over the partitions of
+    # {1..n-2}: rows 2..6, five walks (row 1 needs none).
+    from compolab import enumeration
+
+    walks = _record_walks(monkeypatch)
     enumeration._statistic_row.cache_clear()
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "FAIL" not in out
-    assert sorted(walks) == [0, 1, 2, 3, 4, 5]
+    assert sorted(walks) == [0, 1, 2, 3, 4]
+
+
+def test_brute_comp_walks_all_but_the_last_two_positions(monkeypatch, capsys):
+    # One count places the last two of its 9 positions in aggregate, so it
+    # walks the partitions of the first 7, once.
+    walks = _record_walks(monkeypatch)
+    code, out, _ = run(capsys, "value", "comp", "-n", "9", "-m", "4", "--method", "brute")
+    assert (code, out) == (0, "15177\n")
+    assert walks == [7]
 
 
 # ---------------------------------------------------------------------------

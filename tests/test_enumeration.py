@@ -315,27 +315,42 @@ def test_workers_give_identical_totals():
 
 
 def test_count_extensions_matches_the_leaf_count_of_every_prefix():
-    # The counter places the last position in aggregate; counting the leaves
-    # of the same prefix one by one must agree, for prefixes of every length
-    # including n itself (which the worker split hands out at small n).
+    # The counter walks the partitions of all positions but the last two and
+    # places those two in aggregate, by how many blocks of the walked
+    # partition are disconnected: 0, 1, 2, or 3 and more.  Counting the
+    # leaves of the same prefix one by one must agree, for prefixes of every
+    # length including n - 1 and n (which the worker split hands out at small
+    # n), and every class of walked partition must occur.
+    def leaf_count(n, conn, prefix):
+        return sum(
+            all(conn[mask] for mask in blocks if mask) for _, blocks in _block_stream(n, prefix)
+        )
+
+    def random_graph(rng, n, density):
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        return from_edge_list(n, [pair for pair in pairs if rng.random() < density])
+
     rng = random.Random(23)
-    for _ in range(24):
-        n = rng.randint(0, 8)
-        density = rng.choice((0.2, 0.4, 0.7))
-        edges = [
-            (u, v)
-            for u in range(1, n + 1)
-            for v in range(u + 1, n + 1)
-            if rng.random() < density
-        ]
-        conn = _connectivity_table(_position_adjacency(from_edge_list(n, edges)))
+    graphs = [from_edge_list(n, []) for n in (0, 1, 2, 5, 8)]
+    graphs += [from_edge_list(n, [(v, v + 1) for v in range(1, n)]) for n in (3, 6, 8)]
+    graphs += [random_graph(rng, rng.randint(0, 8), rng.choice((0.1, 0.2, 0.4, 0.7)))
+               for _ in range(24)]
+    classes = [0] * 4
+    for g in graphs:
+        n = g.n
+        conn = _connectivity_table(_position_adjacency(g))
+        if n >= 2:
+            for _, blocks in _block_stream(n - 2):
+                classes[min(sum(not conn[mask] for mask in blocks if mask), 3)] += 1
         for length in range(n + 1):
             for prefix in [tuple(rgs) for rgs, _ in _block_stream(length)]:
-                leaves = sum(
-                    all(conn[mask] for mask in blocks if mask)
-                    for _, blocks in _block_stream(n, prefix)
-                )
-                assert _count_extensions(n, conn, prefix) == leaves, (n, edges, prefix)
+                leaves = leaf_count(n, conn, prefix)
+                assert _count_extensions(n, conn, prefix) == leaves, (n, g.edges, prefix)
+    assert all(classes), classes
+    for n, density in ((9, 0.1), (9, 0.4), (10, 0.3)):
+        g = random_graph(rng, n, density)
+        conn = _connectivity_table(_position_adjacency(g))
+        assert _count_extensions(n, conn, ()) == leaf_count(n, conn, ()), (n, g.edges)
 
 
 def test_workers_match_one_worker_on_tiny_graphs():
@@ -433,9 +448,8 @@ def test_kj_counts_partition_bell_completely():
 
 def test_kj_completeness_at_larger_n():
     # One enumeration pass per n builds the statistic histogram for every j at
-    # once; each histogram must partition bell(n), and sampled cells must match
-    # the counting operation itself.
-    rng = random.Random(9)
+    # once; each histogram must partition bell(n), and every cell must match
+    # the counting operation itself, with j = n + 1 reading the j = n column.
     for n in (9, 10):
         histograms = {j: {m: 0 for m in range(n + 1)} for j in range(1, n + 1)}
         for p in set_partitions(n):
@@ -446,10 +460,9 @@ def test_kj_completeness_at_larger_n():
                 histograms[j][stat] += 1
         for j in range(1, n + 1):
             assert sum(histograms[j].values()) == bell(n), (n, j)
-        for _ in range(3):
-            j = rng.randint(1, n)
-            m = rng.randint(0, n)
-            assert kj_count_brute(n, m, j) == histograms[j][m], (n, m, j)
+        for j in range(1, n + 2):
+            for m in range(n + 1):
+                assert kj_count_brute(n, m, j) == histograms[min(j, n)][m], (n, m, j)
 
 
 def test_kj_count_matches_restricted_statistic_histogram():
