@@ -83,7 +83,7 @@ ROUTES: dict[str, tuple[tuple[str, ...], dict[str, Route]]] = {
         "formula": lambda a, memo, n, m: closedform.maximin_count_formula(n, m),
     }),
     "k1": (("n", "m"), {
-        "formula": lambda a, memo, n, m: closedform.k1_count_formula(n, m),
+        "formula": lambda a, memo, n, m: closedform.k1_count_formula(n, m, memo=memo),
         "brute": lambda a, memo, n, m: _kj_brute(a, memo, n, m, 1),
     }),
     "kj": (("n", "m", "j"), {
@@ -301,9 +301,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_text(path: str) -> str:
-    """A UTF-8 input file's text; one that cannot be read or decoded is malformed input."""
+    """A UTF-8 file's text, less any byte-order mark; unreadable or undecodable is malformed."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
@@ -393,7 +393,7 @@ def cmd_bfile(args: argparse.Namespace) -> int:
         if args.kind == "rowsum":
             terms.append((index, closedform.row_sum(index, memo=store)))
         else:  # k1zero
-            terms.append((index, closedform.k1_count_formula(index, 0)))
+            terms.append((index, closedform.k1_count_formula(index, 0, memo=store)))
     for index, value in terms:
         print(f"{index} {value}")
     if reference is None:

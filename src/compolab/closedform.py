@@ -39,32 +39,36 @@ from collections.abc import Iterator
 from itertools import repeat
 
 from .errors import InconsistentResultError, InvalidParametersError
-from .numtheory import bell_numbers, stirling_row
+from .numtheory import _bell_from, _stirling_from, stirling_row
 
 
 class MemoStore:
-    """Write-once (n, m) -> count table for the recursive composition count.
+    """The numbers that one command keeps; they are freed with the store.
 
-    Cells are immutable once written: rewriting with a different value raises,
-    which also makes concurrent duplicate computation of a cell harmless (both
-    writers must produce the identical value).  The store also holds the
-    recursion's inner sums, keyed (i, m); they live and are cleared with the
-    cells but are not cells, so ``len`` and ``items`` do not count them.
+    Cells map (n, m) to the recursion's comp counts and are write-once:
+    rewriting one with a different value raises, which also makes concurrent
+    duplicate computation of a cell harmless (both writers must produce the
+    identical value).  The recursion's inner sums, keyed (i, m), live and are
+    cleared with the cells but are not cells, so ``len`` and ``items`` do not
+    count them.
 
-    Apart from those, the store keeps one weight vector for the explicit
-    Stirling sums, (S(d,0)*1**e, ..., S(d,d)*(d+1)**e) with its d and e (see
-    ``weights``).  It holds no comp value, and the recursion never reads it;
-    it is cleared with the cells.
+    The closed forms read the store's number tables, which hold no comp value
+    and which the recursion never reads: the Stirling rows asked for, one
+    weight vector for the explicit sums, and a Bell prefix.  A call lent no
+    store builds its rows from row 0; a loop of many calls should lend one.
     """
 
-    __slots__ = ("_table", "_inner", "_weights")
+    __slots__ = ("_table", "_inner", "_weights", "_rows", "_bells")
 
     def __init__(self) -> None:
         self._table: dict[tuple[int, int], int] = {}
         self._inner: dict[tuple[int, int], int] = {}
-        # (d, e, weights), replaced whole so that a store shared between
-        # threads never pairs (d, e) with another pair's weights.
+        self._rows: dict[int, tuple[int, ...]] = {0: (1,)}  # d -> Stirling row d
+        # (d, e, weights) and (B(0..r), Bell-triangle row r) are each replaced
+        # whole, so that a store shared between threads never pairs a key
+        # with another key's numbers.
         self._weights: tuple[int, int, tuple[int, ...]] = (0, 0, (1,))
+        self._bells: tuple[tuple[int, ...], tuple[int, ...]] = ((1,), (1,))
 
     def get(self, n: int, m: int) -> int | None:
         return self._table.get((n, m))
@@ -89,16 +93,31 @@ class MemoStore:
         """
         kept_d, kept_e, vector = self._weights
         if d != kept_d or e not in (kept_e, kept_e + 1):
-            vector = tuple(_weight_terms(d, e))
+            vector = tuple(_weight_terms(self.stirling_row(d), e))
         elif e != kept_e:
             vector = tuple(map(operator.mul, vector, range(1, d + 2)))
         self._weights = (d, e, vector)
         return vector
 
+    def stirling_row(self, d: int) -> tuple[int, ...]:
+        """(S(d,0), ..., S(d,d)), kept; a new row is built from the highest
+        kept row below it, and the rows in between are not kept."""
+        row = self._rows.get(d)
+        if row is None:
+            # A copy of the keys: another thread may add a row meanwhile.
+            below = max(r for r in tuple(self._rows) if r < d)
+            row = self._rows[d] = _stirling_from(self._rows[below], d)
+        return row
+
+    def bell_numbers(self, n: int) -> tuple[int, ...]:
+        """(B(0), ..., B(n)), from the kept Bell prefix, grown first if too short."""
+        bells, row = self._bells
+        if len(bells) <= n:
+            bells, row = self._bells = _bell_from(bells, row, n)
+        return bells[: n + 1]
+
     def clear(self) -> None:
-        self._table.clear()
-        self._inner.clear()
-        self._weights = (0, 0, (1,))
+        self.__init__()
 
     def __contains__(self, key: tuple[int, int]) -> bool:
         return key in self._table
@@ -151,15 +170,15 @@ def _comp_recursive(n: int, m: int, store: MemoStore) -> int:
     return total
 
 
-def _weight_terms(d: int, e: int) -> Iterator[int]:
-    """S(d, k-1) * k^e for k = 1..d+1, one power at a time."""
-    return map(operator.mul, stirling_row(d), map(pow, range(1, d + 2), repeat(e)))
+def _weight_terms(row: tuple[int, ...], e: int) -> Iterator[int]:
+    """S(d, k-1) * k^e for k = 1..d+1, one power at a time, from Stirling row d."""
+    return map(operator.mul, row, map(pow, range(1, len(row) + 1), repeat(e)))
 
 
 def _stirling_power_sum(d: int, e: int, store: MemoStore | None) -> int:
     """sum_{k=1}^{d+1} S(d, k-1) * k^e, from the store's weight vector, or
     with no store, one term at a time."""
-    return sum(_weight_terms(d, e) if store is None else store.weights(d, e))
+    return sum(_weight_terms(stirling_row(d), e) if store is None else store.weights(d, e))
 
 
 def comp_count_explicit(n: int, m: int, memo: MemoStore | None = None) -> int:
@@ -208,17 +227,18 @@ def maximin_count_formula(n: int, m: int) -> int:
     return _stirling_power_sum(m - 1, n - m, None)
 
 
-def k1_count_formula(n: int, m: int) -> int:
+def k1_count_formula(n: int, m: int, memo: MemoStore | None = None) -> int:
     """Number of partitions of {1..n} whose smallest singleton block is {m}.
 
     For m >= 1 this is the inclusion-exclusion sum
     sum_{j=1}^{m} (-1)^(j+1) * C(m-1, j-1) * B(n-j) over forced singletons
     below m.  The m = 0 value counts partitions with no singleton at all,
     sum_{j=0}^{n} (-1)^j * C(n, j) * B(n-j) by inclusion-exclusion over the
-    singletons; it is 1 at n = 0 (the empty partition).
+    singletons; it is 1 at n = 0 (the empty partition).  ``memo`` lends its
+    Bell prefix; ``memo=None`` uses a fresh store for this call only.
     """
     _check_pair(n, m)
-    b = bell_numbers(n)
+    b = (MemoStore() if memo is None else memo).bell_numbers(n)
     if m == 0:
         terms = (math.comb(n, j) * b[n - j] for j in range(n + 1))
     else:

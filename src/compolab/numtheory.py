@@ -1,31 +1,19 @@
 """Exact combinatorial number primitives: binomials, Stirling set numbers, Bell numbers.
 
-Every value is a plain Python int, so counts stay exact at any size.  Two
-tables are grown on demand and retained for the lifetime of the process: the
-Stirling rows that were asked for, each built forward from the highest kept
-row below it, and the Bell numbers that ``bell_numbers`` was asked for, from
-the Bell (Aitken) triangle of which only the last row is kept.  A single
-Stirling number or a single Bell number is one sum and reads neither table.
-Growth is serialized behind a lock, so identical inputs give identical
-outputs regardless of call interleaving.
+Every value is a plain Python int, so counts stay exact at any size.  The
+module keeps no table and no lock: ``stirling_row`` and ``bell_numbers``
+build from row 0 on every call and return a fresh tuple, and a single
+Stirling number or a single Bell number is one sum.  A caller that reads many
+rows keeps them in a ``closedform.MemoStore``, which grows them forward from
+the rows it holds with the same two step functions.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from itertools import accumulate
 
 from .errors import InvalidParametersError
-
-# _STIRLING[n][k] = number of partitions of an n-set into exactly k blocks,
-# for the rows n that were asked for.  Row 0 is (1,) and always kept.
-_STIRLING: dict[int, tuple[int, ...]] = {0: (1,)}
-# _BELL[n] = number of partitions of an n-set.  _BELL_ROW is the last row of
-# the Bell triangle, the one that starts with _BELL[-1].
-_BELL: list[int] = [1]
-_BELL_ROW: list[int] = [1]
-_GROW_LOCK = threading.Lock()
 
 
 def _require_natural(value: int, name: str) -> int:
@@ -36,36 +24,29 @@ def _require_natural(value: int, name: str) -> int:
     return value
 
 
-def _grow_stirling(n: int) -> None:
-    """Keep Stirling row n, built by S(r, k) = k*S(r-1, k) + S(r-1, k-1) from
-    the highest kept row below it; the rows in between are not kept."""
-    if n in _STIRLING:
-        return
-    with _GROW_LOCK:
-        if n in _STIRLING:
-            return
-        r = max(k for k in _STIRLING if k < n)
-        row = _STIRLING[r]
-        while r < n:
-            r += 1
-            row = (0, *[k * row[k] + row[k - 1] for k in range(1, r)], 1)
-        _STIRLING[n] = row
+def _stirling_from(row: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Stirling row n, built by S(r, k) = k*S(r-1, k) + S(r-1, k-1) from
+    ``row``, an earlier row (row r has r + 1 entries)."""
+    r = len(row) - 1
+    while r < n:
+        r += 1
+        row = (0, *[k * row[k] + row[k - 1] for k in range(1, r)], 1)
+    return row
 
 
-def _grow_bell(n: int) -> None:
-    """Extend _BELL so that B(n) exists.
+def _bell_from(bells: tuple, row: tuple, n: int) -> tuple[tuple, tuple]:
+    """The Bell prefix ``bells`` extended to hold B(n), with its last
+    Bell-triangle row; ``row`` is the triangle row that starts with bells[-1].
 
     Each Bell-triangle row starts with the last entry of the row above, and
     every further entry adds its left neighbour to the entry above that
     neighbour; row r starts with B(r).
     """
-    global _BELL_ROW
-    if len(_BELL) > n:
-        return
-    with _GROW_LOCK:
-        while len(_BELL) <= n:
-            _BELL_ROW = list(accumulate(_BELL_ROW, initial=_BELL_ROW[-1]))
-            _BELL.append(_BELL_ROW[0])
+    grown = list(bells)
+    while len(grown) <= n:
+        row = tuple(accumulate(row, initial=row[-1]))
+        grown.append(row[0])
+    return tuple(grown), row
 
 
 def binomial(n: int, k: int) -> int:
@@ -90,11 +71,9 @@ def stirling2(n: int, k: int) -> int:
 
 
 def stirling_row(n: int) -> tuple[int, ...]:
-    """Row n of the Stirling triangle as (S(n,0), ..., S(n,n)); the row is kept
-    and returned as is."""
+    """Row n of the Stirling triangle as (S(n,0), ..., S(n,n)), built from row 0."""
     _require_natural(n, "n")
-    _grow_stirling(n)
-    return _STIRLING[n]
+    return _stirling_from((1,), n)
 
 
 def bell(n: int) -> int:
@@ -115,7 +94,6 @@ def bell(n: int) -> int:
 
 
 def bell_numbers(n: int) -> tuple[int, ...]:
-    """(B(0), ..., B(n)), the Bell numbers up to n in one call."""
+    """(B(0), ..., B(n)), from the Bell triangle built from its row 0."""
     _require_natural(n, "n")
-    _grow_bell(n)
-    return tuple(_BELL[: n + 1])
+    return _bell_from((1,), (1,), n)[0]

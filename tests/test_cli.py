@@ -317,12 +317,14 @@ def test_table_explicit_reads_no_memo_cell(monkeypatch, capsys):
 
 
 def test_recursion_reads_no_weight_vector(monkeypatch, capsys):
-    # The recursion must not read the explicit route's weight vector from
-    # the store that a table or a suite shares.
-    def never(self, d, e):
-        raise AssertionError("the weight vector was read")
+    # The recursion, and the Bell numbers that `verify rowsum` checks it
+    # against, must not read the closed forms' number tables from the store
+    # that a table or a suite shares.
+    def never(self, *args):
+        raise AssertionError("a number table of the store was read")
 
-    monkeypatch.setattr(MemoStore, "weights", never)
+    for accessor in ("weights", "stirling_row", "bell_numbers"):
+        monkeypatch.setattr(MemoStore, accessor, never)
     _, out, _ = run(capsys, "table", "comp", "--max-n", "20", "--format", "json",
                     "--method", "recursive")
     assert [(r["n"], r["m"], r["value"]) for r in json.loads(out)] == [
@@ -481,15 +483,17 @@ def test_brute_comp_walks_all_but_the_last_two_positions(monkeypatch, capsys):
 
 def test_enumerate_path_graph(tmp_path, capsys):
     f = tmp_path / "p3.graph"
-    f.write_text("# path on three vertices\nn 3\n1 2\n2 3\n")
-    code, out, _ = run(capsys, "enumerate", str(f))
-    assert code == 0
-    assert out.strip().splitlines() == [
-        "{1,2,3}",
-        "{1,2}|{3}",
-        "{1}|{2,3}",
-        "{1}|{2}|{3}",
-    ]
+    # A file saved with a UTF-8 byte-order mark reads as the same graph.
+    for mark in ("", "\ufeff"):
+        f.write_text(f"{mark}# path on three vertices\nn 3\n1 2\n2 3\n", encoding="utf-8")
+        code, out, _ = run(capsys, "enumerate", str(f))
+        assert code == 0
+        assert out.strip().splitlines() == [
+            "{1,2,3}",
+            "{1,2}|{3}",
+            "{1}|{2,3}",
+            "{1}|{2}|{3}",
+        ]
 
 
 def test_enumerate_lines_read_as_the_compositions_print(tmp_path, capsys):
@@ -585,7 +589,10 @@ def test_bfile_empty_range(capsys):
 
 def test_bfile_compare(tmp_path, capsys):
     good = tmp_path / "good.b"
-    good.write_text("# reference\n0 1\n1 2\n2 5\n3 15\n")
+    for mark in ("", "\ufeff"):  # with and without a UTF-8 byte-order mark
+        good.write_text(f"{mark}# reference\n0 1\n1 2\n2 5\n3 15\n", encoding="utf-8")
+        assert run(capsys, "bfile", "rowsum", "--range", "0..3", "--compare", str(good))[0] == 0
+    good.write_text("\ufeff0 1\n1 2\n2 5\n3 15\n", encoding="utf-8")
     assert run(capsys, "bfile", "rowsum", "--range", "0..3", "--compare", str(good))[0] == 0
 
     bad = tmp_path / "bad.b"

@@ -147,9 +147,10 @@ def test_k1_formula_examples():
 def test_k1_columns_sum_to_bell():
     # Every partition has a smallest singleton or none; the m = 0 column is
     # computed on its own, not as the complement of the others.
+    store = MemoStore()
     for n in range(1, 81):
-        others = sum(k1_count_formula(n, m) for m in range(1, n + 1))
-        assert k1_count_formula(n, 0) + others == bell(n), n
+        others = sum(k1_count_formula(n, m, memo=store) for m in range(1, n + 1))
+        assert k1_count_formula(n, 0, memo=store) + others == bell(n), n
 
 
 def test_k1_formula_matches_brute_force():
@@ -212,10 +213,11 @@ def test_memo_store_write_once():
 
 
 def test_recursion_over_one_store_matches_explicit_sum():
-    store = MemoStore()
+    store, explicit = MemoStore(), MemoStore()
     for n in range(101):
         for m in range(n + 1):
-            assert comp_count_recursive(n, m, memo=store) == comp_count_explicit(n, m), (n, m)
+            assert comp_count_recursive(n, m, memo=store) == comp_count_explicit(
+                n, m, memo=explicit), (n, m)
     assert len(store) == sum(range(101))  # one cell per n > m
     for n, m in ((100, 0), (100, 50), (77, 76), (64, 3)):
         assert comp_count_recursive(n, m, memo=MemoStore()) == store.get(n, m), (n, m)
@@ -249,8 +251,20 @@ def test_memo_store_weights_follow_a_random_call_sequence():
         expected = tuple(stirling2(d, k - 1) * k**e for k in range(1, d + 2))
         assert store.weights(d, e) == expected, (d, e)
     assert store.weights(7, e + 1) and store._weights[:2] == (7, e + 1)
+    # Stirling rows and Bell prefixes asked for rising, falling and jumping,
+    # on both sides of a clear(); a row is kept only when it was asked for.
+    for rows, prefixes in (([*range(9), 8, 3, 0, 30, 12, 31, 80, 79, 45], [0, 5, 3, 40, 2, 41]),
+                           ([50, 49, 2, 51, 0, 20], [60, 1, 0, 61])):
+        store.clear()
+        assert store._weights == (0, 0, (1,)) and store._bells == ((1,), (1,))
+        for d in rows:
+            assert store.stirling_row(d) == tuple(stirling2(d, k) for k in range(d + 1)), d
+        assert sorted(store._rows) == sorted({0, *rows})
+        for n in prefixes:
+            assert store.bell_numbers(n) == tuple(map(bell, range(n + 1))), n
+        assert len(store._bells[0]) == max(prefixes) + 1
     store.clear()
-    assert store._weights == (0, 0, (1,))
+    assert store._rows == {0: (1,)}
 
 
 def test_explicit_sums_share_one_store_without_touching_its_cells():
@@ -261,6 +275,10 @@ def test_explicit_sums_share_one_store_without_touching_its_cells():
             assert comp_count_paper_literal(n, m, memo=store) == comp_count_paper_literal(n, m)
     assert len(store) == 0 and not store._inner
     assert store._weights[:2] == (30, 0)  # the last sum's: paper-literal at (30, 30)
+    for n in range(31):
+        for m in range(n + 1):
+            assert k1_count_formula(n, m, memo=store) == k1_count_formula(n, m), (n, m)
+    assert len(store) == 0 and not store._inner and len(store._bells[0]) == 31
 
 
 def test_large_arguments_stay_exact():

@@ -1,16 +1,24 @@
 """Binomials, Stirling set numbers, and Bell numbers against independent oracles."""
 
-import os
-import subprocess
+import random
 import sys
 import threading
-from pathlib import Path
+import tracemalloc
 
 import pytest
 from conftest import enumerate_partitions, pascal_triangle
 
-import compolab
-from compolab import InvalidParametersError, bell, binomial, set_partitions, stirling2, stirling_row
+from compolab import (
+    InvalidParametersError,
+    MemoStore,
+    bell,
+    binomial,
+    comp_count_explicit,
+    k1_count_formula,
+    set_partitions,
+    stirling2,
+    stirling_row,
+)
 from compolab.numtheory import bell_numbers
 
 
@@ -52,7 +60,7 @@ def test_stirling_against_enumeration_oracle():
 def test_stirling_recurrence_consistency():
     for n in range(1, 26):
         row, prev = stirling_row(n), stirling_row(n - 1)
-        assert stirling_row(n) is row  # the kept row, not a copy
+        assert stirling_row(n) == row
         assert row[0] == 0
         assert row[n] == 1
         for k in range(1, n):
@@ -60,34 +68,37 @@ def test_stirling_recurrence_consistency():
 
 
 def test_stirling2_matches_the_triangle_row():
+    store = MemoStore()
     for n in range(151):
-        row = stirling_row(n)
+        row = store.stirling_row(n)
         for k in range(n + 1):
             assert stirling2(n, k) == row[k], (n, k)
 
 
-def test_stirling2_keeps_no_triangle():
-    env = dict(os.environ, PYTHONPATH=str(Path(compolab.__file__).resolve().parents[1]))
-    code = (
-        "from compolab import numtheory, stirling2\n"
-        "stirling2(400, 200)\n"
-        "print(len(numtheory._STIRLING))\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split() == ["1"]
-
-
-def test_explicit_sum_keeps_only_the_rows_it_asked_for():
-    env = dict(os.environ, PYTHONPATH=str(Path(compolab.__file__).resolve().parents[1]))
-    code = (
-        "from compolab import comp_count_explicit, numtheory\n"
-        "comp_count_explicit(400, 0)\n"
-        "print(len(numtheory._STIRLING))\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert int(out) <= 2
+def test_no_table_outlives_a_call():
+    # With no store lent, the explicit sum, the k1 formula, the row builders
+    # and the single-value sums keep nothing once they return.  Each runs
+    # once at a small size first, so that imports and first-call caches stay
+    # out of the count.
+    comp_count_explicit(2, 1)
+    k1_count_formula(2, 0)
+    stirling_row(2)
+    bell_numbers(2)
+    stirling2(2, 1)
+    bell(2)
+    tracemalloc.start()
+    try:
+        for n in range(0, 601, 20):
+            comp_count_explicit(n, n // 2)
+        k1_count_formula(600, 0)
+        stirling_row(400)
+        bell_numbers(400)
+        stirling2(400, 200)
+        bell(400)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024, kept
 
 
 def test_bell_examples():
@@ -104,8 +115,9 @@ def test_stirling_rows_sum_to_bell():
 def test_bell_triangle_matches_stirling_row_sums_to_300():
     # bell() is a single sum over derangement counts, stirling_row() comes
     # from the Stirling triangle: two independent kernels.
+    store = MemoStore()
     for n in range(301):
-        assert bell(n) == sum(stirling_row(n)), n
+        assert bell(n) == sum(store.stirling_row(n)), n
 
 
 def test_bell_numbers_prefix():
@@ -115,18 +127,6 @@ def test_bell_numbers_prefix():
     assert bell_numbers(400) == tuple(bell(n) for n in range(401))
     with pytest.raises(InvalidParametersError):
         bell_numbers(-1)
-
-
-def test_bell_keeps_no_stirling_triangle():
-    env = dict(os.environ, PYTHONPATH=str(Path(compolab.__file__).resolve().parents[1]))
-    code = (
-        "from compolab import bell, numtheory\n"
-        "bell(400)\n"
-        "print(len(numtheory._STIRLING), len(numtheory._BELL_ROW))\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split() == ["1", "1"]  # bell() grows neither table
 
 
 def test_bell_recurrence():
@@ -154,15 +154,40 @@ def test_negative_arguments_rejected(func):
 
 
 def test_concurrent_growth_is_consistent():
+    # Six threads share one store and grow its Stirling rows, weight vector
+    # and Bell prefix in whatever order the switches fall; every value must
+    # equal the one a fresh store gives.
+    store, fresh = MemoStore(), MemoStore()
+    diagonals = range(0, 121, 5)
+    cells = [(m + d, m) for d in diagonals for m in range(0, 40, 5)]
+    k1_cells = [(n, m) for n in range(0, 130, 9) for m in sorted({0, min(n, 1), n // 2, n})]
+    expected = ([fresh.stirling_row(d) for d in range(150)],
+                [comp_count_explicit(n, m, memo=MemoStore()) for n, m in cells],
+                [k1_count_formula(n, m, memo=MemoStore()) for n, m in k1_cells])
     results = []
 
-    def worker():
-        results.append((bell(150), stirling2(140, 70)))
+    def worker(seed):
+        # Each thread takes its own order of the rows, the diagonals and the
+        # k1 cells, so rows are added while others look for the one below,
+        # and the weight vector and the Bell prefix rise and fall.
+        rng = random.Random(seed)
+        rows = {d: store.stirling_row(d) for d in rng.sample(range(150), 150)}
+        order = [i for d in rng.sample(range(len(diagonals)), len(diagonals))
+                 for i in range(d * 8, d * 8 + 8)]
+        sums = {i: comp_count_explicit(*cells[i], memo=store) for i in order}
+        k1 = {i: k1_count_formula(*k1_cells[i], memo=store)
+              for i in rng.sample(range(len(k1_cells)), len(k1_cells))}
+        results.append(tuple([got[i] for i in range(len(got))] for got in (rows, sums, k1)))
 
-    threads = [threading.Thread(target=worker) for _ in range(6)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(results)) == 1
-    assert results[0][0] == bell(150)
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 6
