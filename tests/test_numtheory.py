@@ -75,29 +75,60 @@ def test_stirling2_matches_the_triangle_row():
             assert stirling2(n, k) == row[k], (n, k)
 
 
-def test_no_table_outlives_a_call():
-    # With no store lent, the explicit sum, the k1 formula, the row builders
-    # and the single-value sums keep nothing once they return.  Each runs
-    # once at a small size first, so that imports and first-call caches stay
-    # out of the count.
-    comp_count_explicit(2, 1)
-    k1_count_formula(2, 0)
-    stirling_row(2)
-    bell_numbers(2)
-    stirling2(2, 1)
-    bell(2)
+def _bytes_kept(warm_up, run):
+    """Bytes still allocated after ``run()``, counted under tracemalloc.
+
+    ``warm_up()`` runs first, untraced, so that imports and first-call caches
+    stay out of the count.
+    """
+    warm_up()
     tracemalloc.start()
     try:
-        for n in range(0, 601, 20):
-            comp_count_explicit(n, n // 2)
-        k1_count_formula(600, 0)
-        stirling_row(400)
-        bell_numbers(400)
-        stirling2(400, 200)
-        bell(400)
+        run()
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return kept
+
+
+def test_stirling2_keeps_no_triangle():
+    kept = _bytes_kept(lambda: stirling2(2, 1), lambda: stirling2(400, 200))
+    assert kept < 64 * 1024, kept
+
+
+def test_explicit_sum_keeps_only_the_rows_it_asked_for():
+    # With no store lent, the sums keep nothing; a store keeps the one
+    # Stirling row each diagonal asked for, and no row in between.
+    def sums():
+        for n in range(0, 601, 20):
+            comp_count_explicit(n, n // 2)
+
+    kept = _bytes_kept(lambda: comp_count_explicit(2, 1), sums)
+    assert kept < 64 * 1024, kept
+    store = MemoStore()
+    comp_count_explicit(400, 0, memo=store)
+    assert sorted(store._rows) == [0, 400]
+
+
+def test_bell_keeps_no_stirling_triangle():
+    kept = _bytes_kept(lambda: bell(2), lambda: bell(400))
+    assert kept < 64 * 1024, kept
+
+
+def test_no_table_outlives_a_call():
+    # With no store lent, the k1 formula and the row builders keep nothing
+    # once they return.
+    def run():
+        k1_count_formula(600, 0)
+        stirling_row(400)
+        bell_numbers(400)
+
+    def warm_up():
+        k1_count_formula(2, 0)
+        stirling_row(2)
+        bell_numbers(2)
+
+    kept = _bytes_kept(warm_up, run)
     assert kept < 64 * 1024, kept
 
 
