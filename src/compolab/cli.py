@@ -45,9 +45,7 @@ def _comp_brute(a, memo, n, m):
     from .enumeration import composition_count_brute
     from .graphs import complete_minus_clique
 
-    return composition_count_brute(
-        complete_minus_clique(n, m), cap=a.max_brute_n, workers=a.workers
-    )
+    return composition_count_brute(complete_minus_clique(n, m), cap=a.max_brute_n)
 
 
 def _minimax_brute(a, memo, n, m):
@@ -76,11 +74,11 @@ ROUTES: dict[str, tuple[tuple[str, ...], dict[str, Route]]] = {
         ),
     }),
     "minimax": (("n", "m"), {
-        "formula": lambda a, memo, n, m: closedform.minimax_count_formula(n, m),
+        "formula": lambda a, memo, n, m: closedform.minimax_count_formula(n, m, memo=memo),
         "brute": _minimax_brute,
     }),
     "maximin": (("n", "m"), {
-        "formula": lambda a, memo, n, m: closedform.maximin_count_formula(n, m),
+        "formula": lambda a, memo, n, m: closedform.maximin_count_formula(n, m, memo=memo),
     }),
     "k1": (("n", "m"), {
         "formula": lambda a, memo, n, m: closedform.k1_count_formula(n, m, memo=memo),
@@ -262,7 +260,9 @@ def _verify_reflection(n_max: int, args, store: MemoStore) -> list[tuple[str, bo
     cells = [(n, m) for n in range(1, n_max + 1) for m in range(1, n + 1)]
     return _agreement(
         args, store, "minimax", cells,
-        extra=lambda n, m: [("reflected-maximin", closedform.maximin_count_formula(n, n + 1 - m))],
+        extra=lambda n, m: [
+            ("reflected-maximin", closedform.maximin_count_formula(n, n + 1 - m, memo=store))
+        ],
     )
 
 
@@ -441,8 +441,8 @@ def _add_brute(parser: argparse.ArgumentParser, *, workers: bool = True) -> None
             choices=range(1, (os.cpu_count() or 1) + 1),
             default=1,
             metavar="W",
-            help="worker processes for brute-force counting, at most the CPU count "
-            "(totals are identical)",
+            help="accepted for compatibility, at most the CPU count; brute-force "
+            "counting always runs in one process",
         )
 
 

@@ -203,28 +203,30 @@ def comp_count_paper_literal(n: int, m: int, memo: MemoStore | None = None) -> i
     return _stirling_power_sum(m, n - m, memo)
 
 
-def minimax_count_formula(n: int, m: int) -> int:
+def minimax_count_formula(n: int, m: int, memo: MemoStore | None = None) -> int:
     """Number of partitions of {1..n} whose smallest per-block maximum is m.
 
     Computed as sum_{k=1}^{n-m+1} S(n-m, k-1) * k^(m-1): reflecting labels
-    (i -> n+1-i) turns the maximin closed form into this one.
+    (i -> n+1-i) turns the maximin closed form into this one.  ``memo`` is
+    used as in ``comp_count_explicit``.
     """
     if n < 1 or not (1 <= m <= n):
         raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
-    return _stirling_power_sum(n - m, m - 1, None)
+    return _stirling_power_sum(n - m, m - 1, memo)
 
 
-def maximin_count_formula(n: int, m: int) -> int:
+def maximin_count_formula(n: int, m: int, memo: MemoStore | None = None) -> int:
     """Number of partitions of {1..n} whose largest per-block minimum is m.
 
     Direct construction: partition {1..m-1} into k-1 blocks, open a new block
     at m (so m is a block minimum and no later element may open another), then
     drop each of the n-m larger elements into any of the k blocks, giving
-    sum_{k=1}^{m} S(m-1, k-1) * k^(n-m).
+    sum_{k=1}^{m} S(m-1, k-1) * k^(n-m).  ``memo`` is used as in
+    ``comp_count_explicit``.
     """
     if n < 1 or not (1 <= m <= n):
         raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
-    return _stirling_power_sum(m - 1, n - m, None)
+    return _stirling_power_sum(m - 1, n - m, memo)
 
 
 def k1_count_formula(n: int, m: int, memo: MemoStore | None = None) -> int:

@@ -2,7 +2,7 @@
 
 Partitions are encoded as restricted growth strings (RGS): position i holds the
 block index of the i-th smallest label, block indices appear in order of first
-use, and each entry exceeds the running prefix maximum by at most one.  Streams
+use, and each entry exceeds every entry before it by at most one.  Streams
 are yielded in lexicographic RGS order, which fixes a canonical, testable
 enumeration order.
 
@@ -143,25 +143,20 @@ _set_partition = Composition.partition.__set__
 _State = tuple[list[int], list[int]]  # the walker's (rgs, blocks), see _block_stream
 
 
-def _block_stream(n: int, prefix: Sequence[int] = ()) -> Iterator[_State]:
-    """Yield (rgs, blocks) for every RGS of length n that extends prefix, in lexicographic order.
+def _block_stream(n: int) -> Iterator[_State]:
+    """Yield (rgs, blocks) for every RGS of length n, in lexicographic order.
 
     Both lists change in place and the same tuple is yielded each time.
     ``blocks[b]`` is the position bitset of block b; later slots, and slot n, are 0.
     """
-    fixed = len(prefix)
-    rgs = list(prefix) + [0] * (n - fixed)
+    rgs = [0] * n
     blocks = [0] * (n + 1)
+    blocks[0] = (1 << n) - 1
     # opened[i] = number of blocks used by rgs[:i]; position i may hold 0..opened[i]
-    opened = [0] * n
-    top = 0
-    for v, b in enumerate(rgs):
-        blocks[b] |= 1 << v
-        opened[v] = top
-        top = max(top, b + 1)
+    opened = [0] + [1] * (n - 1)
     state = (rgs, blocks)
     yield state
-    if fixed == n:
+    if not n:
         return
     last = n - 1
     last_bit = 1 << last
@@ -173,9 +168,9 @@ def _block_stream(n: int, prefix: Sequence[int] = ()) -> Iterator[_State]:
             rgs[last] = b + 1
             yield state
         i = last - 1
-        while i >= fixed and rgs[i] == opened[i]:
+        while i >= 0 and rgs[i] == opened[i]:
             i -= 1
-        if i < fixed:
+        if i < 0:
             return
         b = rgs[i]
         blocks[b] ^= 1 << i
@@ -230,20 +225,22 @@ def compositions(g: LabelledGraph, cap: Optional[int] = None) -> Iterator[Compos
 
 def _composition_states(g: LabelledGraph, cap: Optional[int] = None) -> Iterator[_State]:
     """The walker's state at each composition of g, position i standing for
-    ``g.labels[i]``.  The cap is checked at the call."""
+    ``g.labels[i]``.  The cap is checked, and the connectivity table built, at the call."""
     check_cap(g.n, cap)
-    return _connected_states(g.n, _connectivity_table(_position_adjacency(g)))
+    conn = _connectivity_table(_position_adjacency(g))
 
+    def connected() -> Iterator[_State]:
+        # A partition passes when its first empty slot comes before any
+        # disconnected block.
+        for state in _block_stream(g.n):
+            for mask in state[1]:
+                if not mask:
+                    yield state
+                    break
+                if not conn[mask]:
+                    break
 
-def _connected_states(n: int, conn: Sequence[int]) -> Iterator[_State]:
-    """Filter the block stream by connectivity."""
-    for state in _block_stream(n):
-        for mask in state[1]:
-            if not mask:
-                yield state
-                break
-            if not conn[mask]:
-                break
+    return connected()
 
 
 def _composition_stream(g: LabelledGraph, states: Iterator[_State]) -> Iterator[Composition]:
@@ -290,8 +287,8 @@ def _connectivity_table(padj: list[int]) -> bytearray:
     return table
 
 
-def _count_extensions(n: int, conn: Sequence[int], prefix: Sequence[int]) -> int:
-    """Count the partitions that extend an RGS prefix and have every block connected.
+def _count_extensions(n: int, conn: Sequence[int]) -> int:
+    """Count the partitions of positions 0..n-1 that have every block connected.
 
     The walk covers positions 0..n-3 and scores every placement of p = n - 2
     and q = n - 1 at once.  For a block B let a = conn[B|p], b = conn[B|q] and
@@ -300,10 +297,8 @@ def _count_extensions(n: int, conn: Sequence[int], prefix: Sequence[int]) -> int
     disconnected block x counts a_x + b_x + c_x + a_x·Σb + b_x·Σa; two, x and
     y, count a_x·b_y + a_y·b_x; three or more count nothing.
     """
-    if len(prefix) > n - 2:  # n < 2, or the prefix places p or q too
-        return sum(
-            all(conn[mask] for mask in blocks if mask) for _, blocks in _block_stream(n, prefix)
-        )
+    if n < 2:
+        return 1  # the empty partition; the singleton {0}
     # One sum over a partition's blocks adds all these terms at once, packed in
     # 8-bit fields: a connected block adds a + b + c − ab, a and b at bits 0, 8
     # and 16; a disconnected one adds a + b + c, a, b, ab and 1 at bits 24, 32,
@@ -324,7 +319,7 @@ def _count_extensions(n: int, conn: Sequence[int], prefix: Sequence[int]) -> int
     weigh = weights.__getitem__
     alone = 1 + conn[3 * p]
     count = 0
-    for _, blocks in _block_stream(n - 2, prefix):
+    for _, blocks in _block_stream(n - 2):
         s = sum(map(weigh, blocks))
         broken = s >> 56
         if broken > 2:
@@ -339,35 +334,10 @@ def _count_extensions(n: int, conn: Sequence[int], prefix: Sequence[int]) -> int
     return count
 
 
-def _split_prefixes(n: int, workers: int) -> list[tuple[int, ...]]:
-    """RGS prefixes partitioning the search space into at least ~4x workers chunks."""
-    length, prefixes = 1, [(0,)]
-    while length < n and len(prefixes) < 4 * workers:
-        length += 1
-        prefixes = [tuple(rgs) for rgs, _ in _block_stream(length)]
-    return prefixes
-
-
-def composition_count_brute(
-    g: LabelledGraph, cap: Optional[int] = None, workers: int = 1
-) -> int:
-    """Number of compositions of g, by enumerating all partitions of its vertices.
-
-    With ``workers > 1`` the RGS space is split by prefix across a process
-    pool; totals are identical to the single-worker count.
-    """
+def composition_count_brute(g: LabelledGraph, cap: Optional[int] = None) -> int:
+    """Number of compositions of g, by enumerating all partitions of its vertices."""
     check_cap(g.n, cap)
-    if workers < 1:
-        raise InvalidParametersError(f"workers must be >= 1, got {workers}")
-    n = g.n
-    conn = _connectivity_table(_position_adjacency(g))
-    if workers == 1 or n < 2:
-        return _count_extensions(n, conn, ())
-    import multiprocessing  # only the split needs it, and it is slow to import
-
-    tasks = [(n, conn, prefix) for prefix in _split_prefixes(n, workers)]
-    with multiprocessing.Pool(workers) as pool:
-        return sum(pool.starmap(_count_extensions, tasks))
+    return _count_extensions(g.n, _connectivity_table(_position_adjacency(g)))
 
 
 # ---------------------------------------------------------------------------

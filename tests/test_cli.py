@@ -123,7 +123,7 @@ def test_value_prints_more_digits_than_the_int_str_limit(capsys):
 
 
 def _outcome(route, *values):
-    args = argparse.Namespace(max_brute_n=None, workers=1)
+    args = argparse.Namespace(max_brute_n=None)
     try:
         return route(args, MemoStore(), *values)
     except Exception as exc:  # a rejected input must be rejected by every route
@@ -443,9 +443,9 @@ def _record_walks(monkeypatch):
     walks = []
     real = enumeration._block_stream
 
-    def counting(n, prefix=()):
+    def counting(n):
         walks.append(n)
-        return real(n, prefix)
+        return real(n)
 
     monkeypatch.setattr(enumeration, "_block_stream", counting)
     return walks

@@ -279,6 +279,11 @@ def test_explicit_sums_share_one_store_without_touching_its_cells():
         for m in range(n + 1):
             assert k1_count_formula(n, m, memo=store) == k1_count_formula(n, m), (n, m)
     assert len(store) == 0 and not store._inner and len(store._bells[0]) == 31
+    for n in range(1, 31):
+        for m in range(1, n + 1):
+            assert minimax_count_formula(n, m, memo=store) == minimax_count_formula(n, m), (n, m)
+            assert maximin_count_formula(n, m, memo=store) == maximin_count_formula(n, m), (n, m)
+    assert len(store) == 0 and not store._inner
 
 
 def test_large_arguments_stay_exact():

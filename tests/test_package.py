@@ -38,10 +38,11 @@ def test_unknown_name_raises_an_attribute_error_naming_it():
 
 # What a fresh process holds after importing the CLI and after running a
 # closed-form command, then each brute-force statistic and a brute-force
-# count.  Runs without site, whose start-up files could load any of these on
-# their own.
+# count, the count again with --workers at the CPU count (accepted, and still
+# counted in one process).  Runs without site, whose start-up files could load
+# any of these on their own.
 _SNAPSHOTS = """
-import json, sys
+import json, os, sys
 from compolab.cli import main
 loaded = [set(sys.modules)]
 main(["value", "bell", "-n", "5"])
@@ -51,6 +52,8 @@ loaded.append(set(sys.modules))
 main(["value", "kj", "-n", "5", "-m", "3", "-j", "2"])
 loaded.append(set(sys.modules))
 main(["value", "comp", "-n", "5", "-m", "2", "--method", "brute"])
+loaded.append(set(sys.modules))
+main(["value", "comp", "-n", "5", "-m", "2", "--method", "brute", "--workers", str(os.cpu_count() or 1)])
 loaded.append(set(sys.modules))
 watched = %r
 print(json.dumps([sorted(watched & names) for names in loaded]))
@@ -65,7 +68,7 @@ def test_commands_import_only_the_modules_they_run():
     done = subprocess.run([sys.executable, "-S", "-c", _SNAPSHOTS % (set(_HEAVY),)],
                           env=env, capture_output=True, text=True, check=True)
     after_import, after_bell, *after_brute = json.loads(done.stdout.splitlines()[-1])
-    assert done.stdout.splitlines()[:4] == ["52", "15", "11", "47"]
+    assert done.stdout.splitlines()[:5] == ["52", "15", "11", "47", "47"]
     assert after_import == []
     assert after_bell == []
     for loaded in after_brute:
