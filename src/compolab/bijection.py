@@ -154,9 +154,11 @@ def _verify_cells(n: int, ms: Iterable[int], cap: Optional[int]) -> list[Bijecti
     check_cap(n + 1, cap)
     graphs = {m: target_graph(n, m) for m in ms}
     failed: set[int] = set()
-    images: dict[int, set[bytes]] = {m: set() for m in graphs}
+    images: dict[int, set[int]] = {m: set() for m in graphs}
     lhs_counts = dict.fromkeys(graphs, 0)
-    width = (n + 9) // 8  # bytes per label bitset: labels run up to n + 1
+    # An image's key is its blocks side by side, n + 2 bits each: labels run
+    # up to n + 1, and no block is empty, so the key gives back the blocks.
+    width = n + 2
     for _, blocks in _block_stream(n + 1):
         # Position i of the walk holds label i + 1; the smallest block top is
         # the minimax vertex.
@@ -182,7 +184,10 @@ def _verify_cells(n: int, ms: Iterable[int], cap: Optional[int]) -> list[Bijecti
             or _insert(image, m) != p
         ):
             failed.add(m)
-        images[m].add(b"".join([block.to_bytes(width, "little") for block in image]))
+        key = 0
+        for block in image:
+            key = key << width | block
+        images[m].add(key)
     reports = []
     for m, g in graphs.items():
         v = m + 1

@@ -4,14 +4,13 @@ Exit codes are a stable contract: 0 success, 1 verification failure, 2
 usage/input error (or a stdout closed early), 3 resource limit exceeded.
 
 Each command is one fresh process, so start-up counts: enumeration, graphs
-and bijection are imported by the routes and commands that call them, not
-here.
+and bijection are imported by the routes and commands that call them, and
+``json`` by the JSON output, not here.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Callable, Iterator
@@ -45,6 +44,8 @@ def _comp_brute(a, memo, n, m):
     from .enumeration import composition_count_brute
     from .graphs import complete_minus_clique
 
+    if 0 <= m <= n:  # the graph builder refuses the other cells
+        check_cap(n, a.max_brute_n)  # before the graph lists its n²/2 pairs
     return composition_count_brute(complete_minus_clique(n, m), cap=a.max_brute_n)
 
 
@@ -132,6 +133,8 @@ def cmd_value(args: argparse.Namespace) -> int:
     values = _require(args, *params)
     value = str(route(args, None, *values))
     if args.format == "json":
+        import json
+
         print(json.dumps({**dict(zip(params, values)), "value": value, "method": method}))
     else:
         print(value)
@@ -157,6 +160,8 @@ def _table_rows(args: argparse.Namespace, first: int, route: Route) -> list[list
 def _render_table(rows: list[list[str]], fmt: str, first: int, method: str) -> str:
     max_n = first + len(rows) - 1
     if fmt == "json":
+        import json
+
         return json.dumps([
             {"n": n, "m": m, "value": value, "method": method}
             for n, row in enumerate(rows, first) for m, value in enumerate(row)

@@ -19,6 +19,9 @@ minimax is its j = n row.  Each placement is still decided from the
 blocks and the connectivity table alone — no closed forms are consulted here,
 so these routines can serve as independent oracles for them.  A cap (default
 12), checked before the row cache is read, guards against Bell(20)-scale runs.
+
+The composition stream walks Bell(n - 1) partitions and places the last
+label where every block stays connected; ``set_partitions`` walks all Bell(n).
 """
 
 from __future__ import annotations
@@ -224,21 +227,45 @@ def compositions(g: LabelledGraph, cap: Optional[int] = None) -> Iterator[Compos
 
 
 def _composition_states(g: LabelledGraph, cap: Optional[int] = None) -> Iterator[_State]:
-    """The walker's state at each composition of g, position i standing for
-    ``g.labels[i]``.  The cap is checked, and the connectivity table built, at the call."""
+    """The ``_block_stream`` state, order and contract at each composition of
+    g, position i standing for ``g.labels[i]``; the cap is checked, and the
+    connectivity table built, at the call.  The walk covers all positions but
+    the last, which joins block B where conn[B | last] and no other block is
+    disconnected, and stands alone (last) where no block is disconnected.
+    """
     check_cap(g.n, cap)
     conn = _connectivity_table(_position_adjacency(g))
+    n = g.n
 
     def connected() -> Iterator[_State]:
-        # A partition passes when its first empty slot comes before any
-        # disconnected block.
-        for state in _block_stream(g.n):
-            for mask in state[1]:
+        if not n:
+            yield [], [0]
+            return
+        last = n - 1
+        bit = 1 << last
+        rgs = [0] * n
+        blocks = [0] * (n + 1)
+        state = (rgs, blocks)
+        for walked_rgs, walked in _block_stream(last):
+            x = -1  # the one disconnected block
+            for k, mask in enumerate(walked):
                 if not mask:
-                    yield state
                     break
                 if not conn[mask]:
-                    break
+                    if x >= 0:
+                        break  # a second one: mask stays nonzero
+                    x = k
+            if mask or x >= 0 and not conn[walked[x] | bit]:
+                continue
+            rgs[:last] = walked_rgs
+            blocks[:n] = walked
+            # r = k is the new singleton: walked[k] is 0, and conn[bit] is 1.
+            for r in range(k + 1) if x < 0 else (x,):
+                if conn[walked[r] | bit]:
+                    rgs[last] = r
+                    blocks[r] |= bit
+                    yield state
+                    blocks[r] = walked[r]
 
     return connected()
 

@@ -178,10 +178,19 @@ def from_vertices_and_edges(
     return LabelledGraph(mask, tuple(adj))
 
 
-def complete(n: int) -> LabelledGraph:
-    """Complete graph on labels 1..n (n = 0 gives the empty graph)."""
+def _check_count(n: int) -> None:
+    """Refuse a vertex count outside 0..MAX_LABEL before any pair is listed."""
     if n < 0:
         raise InvalidParametersError(f"n must be >= 0, got {n}")
+    if n > MAX_LABEL:
+        raise InvalidParametersError(
+            f"n = {n} is above the largest supported vertex count, {MAX_LABEL}"
+        )
+
+
+def complete(n: int) -> LabelledGraph:
+    """Complete graph on labels 1..n (n = 0 gives the empty graph)."""
+    _check_count(n)
     labels = range(1, n + 1)
     return from_vertices_and_edges(
         labels, ((u, v) for u in labels for v in range(u + 1, n + 1))
@@ -196,6 +205,7 @@ def complete_minus_clique(n: int, m: int) -> LabelledGraph:
     """
     if n < 0 or m < 0 or m > n:
         raise InvalidParametersError(f"need 0 <= m <= n, got n={n}, m={m}")
+    _check_count(n)
     pairs = [
         (u, v)
         for u in range(1, n + 1)
@@ -210,8 +220,7 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> LabelledGraph:
 
     Out-of-range labels and self-loops are malformed input.
     """
-    if n < 0:
-        raise InvalidParametersError(f"n must be >= 0, got {n}")
+    _check_count(n)
     checked = []
     for u, v in pairs:
         if not (1 <= u <= n) or not (1 <= v <= n):

@@ -8,7 +8,10 @@ import json
 import math
 import os
 import random
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import COMP_TABLE, K1_TABLE
@@ -102,6 +105,34 @@ def test_value_resource_limit_exit_3(capsys):
         "--max-brute-n", "4",
     )
     assert code == 3
+
+
+def test_huge_sizes_are_refused_before_allocating(tmp_path):
+    # Each run is a child process under a 300 MB address-space limit, so a
+    # size checked only after its graph is built fails here (MemoryError, or
+    # the timeout) instead of exhausting the host.  The brute comp count
+    # refuses by its cap (exit 3); a graph file's vertex count is refused by
+    # name (exit 2).
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+    huge = tmp_path / "huge.graph"
+    huge.write_text("n 1000000000\n")
+    wide = tmp_path / "wide.graph"
+    wide.write_text("n 65\n1 2\n")
+    brute = ["value", "comp", "-m", "0", "--method", "brute", "-n"]
+    cases = [(brute + ["65"], 3, "65 vertices exceeds the brute-force cap"),
+             (brute + ["3000"], 3, "3000 vertices exceeds the brute-force cap"),
+             (brute + ["100000"], 3, "100000 vertices exceeds the brute-force cap"),
+             (["enumerate", str(huge)], 2, "n = 1000000000 is above"),
+             (["enumerate", str(wide)], 2, "n = 65 is above")]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for argv, code, message in cases:
+        done = subprocess.run([sys.executable, "-m", "compolab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60, preexec_fn=limit)
+        assert (done.returncode, done.stdout) == (code, ""), (argv, done.stderr)
+        assert done.stderr.count("\n") == 1 and message in done.stderr, argv
+        assert "Traceback" not in done.stderr, argv
 
 
 def test_value_output_is_exact_decimal(capsys):
@@ -475,6 +506,24 @@ def test_brute_comp_walks_all_but_the_last_two_positions(monkeypatch, capsys):
     code, out, _ = run(capsys, "value", "comp", "-n", "9", "-m", "4", "--method", "brute")
     assert (code, out) == (0, "15177\n")
     assert walks == [7]
+
+
+def test_composition_streams_walk_all_but_the_last_position(monkeypatch, capsys, tmp_path):
+    # Listing the compositions of 9 vertices places the last one per walked
+    # partition, so `enumerate` and `compositions()` each walk the partitions
+    # of the first 8 positions, once.
+    rng = random.Random(16)
+    edges = [(u, v) for u in range(1, 10) for v in range(u + 1, 10) if rng.random() < 0.4]
+    f = tmp_path / "g9.graph"
+    f.write_text("n 9\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    walks = _record_walks(monkeypatch)
+    code, out, _ = run(capsys, "enumerate", str(f))
+    assert code == 0 and out
+    assert walks == [8]
+    walks.clear()
+    g = from_vertices_and_edges(range(1, 10), edges)
+    assert sum(1 for _ in compositions(g)) == out.count("\n")
+    assert walks == [8]
 
 
 # ---------------------------------------------------------------------------

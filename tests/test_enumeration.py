@@ -2,6 +2,7 @@
 
 import pickle
 import random
+from itertools import zip_longest
 
 import pytest
 from conftest import MINIMAX_EXAMPLE_3, bfs_connected, blocks_of, enumerate_partitions
@@ -31,6 +32,7 @@ from compolab import (
 )
 from compolab.enumeration import (
     _block_stream,
+    _composition_states,
     _connectivity_table,
     _count_extensions,
     _position_adjacency,
@@ -301,6 +303,38 @@ def test_compositions_match_filtered_partitions_on_random_graphs():
         assert all(is_composition(g, c.partition) for c in compositions(g))
     with pytest.raises(ResourceLimitError):
         compositions(complete(13))  # raised by the call, before any next()
+
+
+def test_composition_states_match_a_filter_over_every_partition():
+    # The stream walks all positions but the last and places that one only
+    # where every block stays connected.  Filtering the whole walk must give
+    # the same states in the same order, zero tail included, and each class
+    # of walked partition (0, 1, 2 or more disconnected blocks) must occur.
+    def filtered(g):
+        conn = _connectivity_table(_position_adjacency(g))
+        for rgs, blocks in _block_stream(g.n):
+            if all(conn[mask] for mask in blocks if mask):
+                yield tuple(rgs), tuple(blocks)
+
+    rng = random.Random(31)
+    graphs = []
+    for n in (0, 1, 2, 5, 10):
+        graphs += [from_edge_list(n, []), from_edge_list(n, [(v, v + 1) for v in range(1, n)]),
+                   complete(n)]
+    for _ in range(40):
+        n, density = rng.randint(0, 10), rng.choice((0.1, 0.2, 0.3, 0.5, 0.7, 1.0))
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        graphs.append(from_edge_list(n, [pair for pair in pairs if rng.random() < density]))
+    classes = [0] * 3
+    for g in graphs:
+        if g.n:
+            conn = _connectivity_table(_position_adjacency(g))
+            for _, blocks in _block_stream(g.n - 1):
+                classes[min(sum(not conn[mask] for mask in blocks if mask), 2)] += 1
+        states = ((tuple(rgs), tuple(blocks)) for rgs, blocks in _composition_states(g))
+        for got, want in zip_longest(states, filtered(g)):
+            assert got == want, (g.n, g.edges)
+    assert all(classes), classes
 
 
 def test_count_extensions_matches_the_leaf_count_of_every_prefix():

@@ -74,3 +74,23 @@ def test_commands_import_only_the_modules_they_run():
     for loaded in after_brute:
         assert "compolab.enumeration" in loaded
         assert "multiprocessing" not in loaded
+
+
+# A text-format value and an enumeration, in a fresh process without site.
+_TEXT_ONLY = """
+import sys
+from compolab.cli import main
+main(["value", "bell", "-n", "5"])
+main(["enumerate", sys.argv[1]])
+print("json" in sys.modules)
+"""
+
+
+def test_text_output_leaves_json_unloaded(tmp_path):
+    graph = tmp_path / "k3.graph"
+    graph.write_text("n 3\n1 2\n2 3\n1 3\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(compolab.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-c", _TEXT_ONLY, str(graph)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == ["52", "{1,2,3}", "{1,2}|{3}", "{1,3}|{2}",
+                                        "{1}|{2,3}", "{1}|{2}|{3}", "False"]
