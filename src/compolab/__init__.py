@@ -29,19 +29,7 @@ _EXPORTS = {
         "minimax_count_formula",
         "row_sum",
     ),
-    "enumeration": (
-        "Composition",
-        "Partition",
-        "composition_count_brute",
-        "compositions",
-        "is_composition",
-        "kj_count_brute",
-        "minimax_count_brute",
-        "minimax_restricted",
-        "minimax_vertex",
-        "partitions_of",
-        "set_partitions",
-    ),
+    "enumeration": ("composition_count_brute", "kj_count_brute", "minimax_count_brute"),
     "errors": (
         "BRUTE_FORCE_CAP",
         "CompolabError",
@@ -63,6 +51,16 @@ _EXPORTS = {
         "parse_graph_file",
     ),
     "numtheory": ("bell", "binomial", "stirling2", "stirling_row"),
+    "partitions": (
+        "Composition",
+        "Partition",
+        "compositions",
+        "is_composition",
+        "minimax_restricted",
+        "minimax_vertex",
+        "partitions_of",
+        "set_partitions",
+    ),
 }
 
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -14,15 +14,9 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .enumeration import (
-    Partition,
-    _block_stream,
-    _composition_states,
-    is_composition,
-    minimax_vertex,
-)
+from .enumeration import _block_stream, _composition_states
 from .errors import InvalidParametersError, check_cap
 from .graphs import (
     LabelledGraph,
@@ -32,6 +26,9 @@ from .graphs import (
     mask_connected,
     mask_labels,
 )
+
+if TYPE_CHECKING:  # the maps load the object layer when they run; verify_row never does
+    from .partitions import Partition
 
 
 class BijectionReport(NamedTuple):
@@ -67,6 +64,8 @@ def forward(p: Partition, expected_minimax: Optional[int] = None) -> Partition:
     If ``expected_minimax`` is given, the partition's actual minimax vertex
     must equal it.
     """
+    from .partitions import Partition, minimax_vertex
+
     v = minimax_vertex(p)
     if v is None:
         raise InvalidParametersError("the empty partition has no minimax vertex")
@@ -80,6 +79,8 @@ def forward(p: Partition, expected_minimax: Optional[int] = None) -> Partition:
 def backward(c: Partition, n: int, m: int) -> Partition:
     """Insert vertex m+1 into a composition of target_graph(n, m), merging it
     with every singleton block drawn from the independent prefix {1..m}."""
+    from .partitions import Partition, is_composition
+
     g = target_graph(n, m)
     if label_mask(c.labels) != g.vertex_mask or not is_composition(g, c):
         raise InvalidParametersError(

@@ -1,14 +1,11 @@
-"""Brute-force oracles: set partitions in canonical order and statistics by direct count.
+"""Brute-force oracles: every count here comes from walking set partitions.
 
-Partitions are encoded as restricted growth strings (RGS): position i holds the
-block index of the i-th smallest label, block indices appear in order of first
-use, and each entry exceeds every entry before it by at most one.  Streams
-are yielded in lexicographic RGS order, which fixes a canonical, testable
-enumeration order.
-
-One walker, ``_block_stream``, yields that order with every block kept in place
-as a bitset of positions: ``bit_length`` is a block's largest label and
-``bit_count`` its size.  Objects the streams build skip the public checks.
+Partitions are walked as restricted growth strings (RGS): position i holds
+the block index of the i-th smallest label, block indices appear in order of
+first use, and each entry exceeds every entry before it by at most one.  One
+walker, ``_block_stream``, yields them in lexicographic RGS order with every
+block kept in place as a bitset of positions: ``bit_length`` is a block's
+largest label and ``bit_count`` its size.
 
 The counters walk the partitions of all labels but the last two and score
 every placement of those two (each alone, together, or joined to blocks) from
@@ -19,128 +16,43 @@ minimax is its j = n row.  Each placement is still decided from the
 blocks and the connectivity table alone — no closed forms are consulted here,
 so these routines can serve as independent oracles for them.  A cap (default
 12), checked before the row cache is read, guards against Bell(20)-scale runs.
+``_composition_states`` walks Bell(n - 1) partitions and places the last
+label where every block stays connected.
 
-The composition stream walks Bell(n - 1) partitions and places the last
-label where every block stays connected; ``set_partitions`` walks all Bell(n).
+Of the package this module imports only ``errors``, so a brute-force
+statistic loads no other code.  Graphs are read through their ``n``, ``labels`` and ``adj``, and
+``graphs`` is loaded only to build a connectivity table.  The object layer
+(``Partition``, ``Composition`` and their streams) lives in ``partitions``;
+its names still resolve here, loaded on first use.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
 
+from . import _EXPORTS
 from .errors import BRUTE_FORCE_CAP, InvalidParametersError, ResourceLimitError, check_cap
-from .graphs import Frozen, LabelledGraph, is_connected_induced, label_mask, mask_connected
+
+TYPE_CHECKING = False  # the typing module's constant, without loading typing
+if TYPE_CHECKING:
+    from .graphs import LabelledGraph
+
+
+def __getattr__(name: str):
+    """The object layer's public names, imported from ``partitions`` on first use (PEP 562)."""
+    if name not in _EXPORTS["partitions"]:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import partitions
+
+    value = globals()[name] = getattr(partitions, name)
+    return value
+
 
 # Largest vertex count whose connectivity table is built, whatever the cap: at
 # 20 vertices the table takes 1-2 s and 1 MiB, and a walk over Bell(19)
 # partitions would never end anyway.
 _TABLE_MAX_N = 20
-
-
-class Partition(Frozen):
-    """A set partition of a finite label set, canonically encoded as an RGS.
-
-    ``labels`` is the ascending ground set; ``rgs[i]`` is the block index of
-    ``labels[i]``.  Because block indices are assigned in order of first
-    appearance, blocks come out sorted by their minimum element.
-    """
-
-    __slots__ = ("labels", "rgs")
-
-    def __init__(self, labels: Sequence[int], rgs: Sequence[int]):
-        labels = tuple(labels)
-        rgs = tuple(rgs)
-        if len(labels) != len(rgs):
-            raise InvalidParametersError("labels and rgs must have equal length")
-        if labels and labels[0] < 1:
-            raise InvalidParametersError("labels must be positive integers")
-        if any(a >= b for a, b in zip(labels, labels[1:])):
-            raise InvalidParametersError("labels must be strictly increasing")
-        top = -1
-        for value in rgs:
-            if value < 0 or value > top + 1:
-                raise InvalidParametersError(f"not a restricted growth string: {rgs}")
-            if value > top:
-                top = value
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "rgs", rgs)
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
-        """Canonicalize explicit blocks (which must be disjoint and nonempty)."""
-        block_sets = [frozenset(b) for b in blocks]
-        if any(not b for b in block_sets):
-            raise InvalidParametersError("blocks must be nonempty")
-        owner = {}
-        for index, b in enumerate(block_sets):
-            for label in b:
-                if label in owner:
-                    raise InvalidParametersError(f"label {label} appears in two blocks")
-                owner[label] = index
-        labels = tuple(sorted(owner))
-        block_ids: dict[int, int] = {}
-        rgs = []
-        for label in labels:
-            index = owner[label]
-            rgs.append(block_ids.setdefault(index, len(block_ids)))
-        return cls(labels, rgs)
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def block_count(self) -> int:
-        return max(self.rgs) + 1 if self.rgs else 0
-
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Blocks as ascending label tuples, ordered by minimum element."""
-        out: list[list[int]] = [[] for _ in range(self.block_count)]
-        for label, b in zip(self.labels, self.rgs):
-            out[b].append(label)
-        return tuple(tuple(b) for b in out)
-
-    def block_bitsets(self) -> tuple[int, ...]:
-        """Blocks as label bitsets, ordered by minimum element."""
-        out = [0] * self.block_count
-        for label, b in zip(self.labels, self.rgs):
-            out[b] |= 1 << label
-        return tuple(out)
-
-    def __str__(self):
-        """Block-line format, e.g. ``{1,3}|{2}``."""
-        return "|".join(
-            "{" + ",".join(str(x) for x in block) + "}" for block in self.blocks()
-        )
-
-
-class Composition(Frozen):
-    """A partition of a graph's vertex set whose blocks all induce connected subgraphs."""
-
-    __slots__ = ("graph", "partition")
-    graph: LabelledGraph
-    partition: Partition
-
-    def __init__(self, graph: LabelledGraph, partition: Partition):
-        if not is_composition(graph, partition):
-            raise InvalidParametersError(
-                "every block must induce a connected subgraph"
-            )
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "partition", partition)
-
-    def __str__(self):
-        return str(self.partition)
-
-
-# Stream-built objects skip the public checks: their fields are set through
-# the slot descriptors, which also bypass Frozen.__setattr__.
-_new = object.__new__
-_set_labels = Partition.labels.__set__
-_set_rgs = Partition.rgs.__set__
-_set_graph = Composition.graph.__set__
-_set_partition = Composition.partition.__set__
 
 
 _State = tuple[list[int], list[int]]  # the walker's (rgs, blocks), see _block_stream
@@ -188,45 +100,7 @@ def _block_stream(n: int) -> Iterator[_State]:
         yield state
 
 
-def partitions_of(labels: Iterable[int], cap: Optional[int] = None) -> Iterator[Partition]:
-    """Every partition of an explicit label set, in lexicographic RGS order."""
-    ground = tuple(sorted(set(labels)))
-    check_cap(len(ground), cap)
-    return _partition_stream(ground)
-
-
-def _partition_stream(ground: tuple[int, ...]) -> Iterator[Partition]:
-    for rgs, _ in _block_stream(len(ground)):
-        partition = _new(Partition)
-        _set_labels(partition, ground)
-        _set_rgs(partition, tuple(rgs))
-        yield partition
-
-
-def set_partitions(n: int, cap: Optional[int] = None) -> Iterator[Partition]:
-    """Every partition of {1..n}, in lexicographic RGS order.
-
-    Yields exactly bell(n) partitions; n = 0 yields the single empty partition.
-    """
-    if n < 0:
-        raise InvalidParametersError(f"n must be >= 0, got {n}")
-    check_cap(n, cap)
-    return _partition_stream(tuple(range(1, n + 1)))
-
-
-def is_composition(g: LabelledGraph, p: Partition) -> bool:
-    """True iff p partitions g's vertex set and every block is connected in g."""
-    if label_mask(p.labels) != g.vertex_mask:
-        raise InvalidParametersError("partition ground set differs from the graph's vertices")
-    return all(is_connected_induced(g, block) for block in p.block_bitsets())
-
-
-def compositions(g: LabelledGraph, cap: Optional[int] = None) -> Iterator[Composition]:
-    """Every composition of g, in the set_partitions order of its vertex set."""
-    return _composition_stream(g, _composition_states(g, cap))
-
-
-def _composition_states(g: LabelledGraph, cap: Optional[int] = None) -> Iterator[_State]:
+def _composition_states(g: LabelledGraph, cap: int | None = None) -> Iterator[_State]:
     """The ``_block_stream`` state, order and contract at each composition of
     g, position i standing for ``g.labels[i]``; the cap is checked, and the
     connectivity table built, at the call.  The walk covers all positions but
@@ -270,18 +144,6 @@ def _composition_states(g: LabelledGraph, cap: Optional[int] = None) -> Iterator
     return connected()
 
 
-def _composition_stream(g: LabelledGraph, states: Iterator[_State]) -> Iterator[Composition]:
-    labels = g.labels
-    for rgs, _ in states:
-        partition = _new(Partition)
-        _set_labels(partition, labels)
-        _set_rgs(partition, tuple(rgs))
-        composition = _new(Composition)
-        _set_graph(composition, g)
-        _set_partition(composition, partition)
-        yield composition
-
-
 # ---------------------------------------------------------------------------
 # Composition counting
 # ---------------------------------------------------------------------------
@@ -302,6 +164,8 @@ def _position_adjacency(g: LabelledGraph) -> list[int]:
 
 def _connectivity_table(padj: list[int]) -> bytearray:
     """conn[mask] = 1 iff the positions in mask induce a connected subgraph."""
+    from .graphs import mask_connected
+
     n = len(padj)
     if n > _TABLE_MAX_N:
         raise ResourceLimitError(
@@ -361,7 +225,7 @@ def _count_extensions(n: int, conn: Sequence[int]) -> int:
     return count
 
 
-def composition_count_brute(g: LabelledGraph, cap: Optional[int] = None) -> int:
+def composition_count_brute(g: LabelledGraph, cap: int | None = None) -> int:
     """Number of compositions of g, by enumerating all partitions of its vertices."""
     check_cap(g.n, cap)
     return _count_extensions(g.n, _connectivity_table(_position_adjacency(g)))
@@ -371,33 +235,7 @@ def composition_count_brute(g: LabelledGraph, cap: Optional[int] = None) -> int:
 # Minimax statistics
 # ---------------------------------------------------------------------------
 
-def minimax_vertex(p: Partition) -> Optional[int]:
-    """Smallest among the per-block maximum labels; None for the empty partition."""
-    if p.n == 0:
-        return None
-    best: Optional[int] = None
-    for block in p.blocks():
-        top = block[-1]
-        if best is None or top < best:
-            best = top
-    return best
-
-
-def minimax_restricted(p: Partition, j: int) -> Optional[int]:
-    """Minimax taken only over blocks with at most j labels; None if no block qualifies."""
-    if j < 1:
-        raise InvalidParametersError(f"j must be >= 1, got {j}")
-    best: Optional[int] = None
-    for block in p.blocks():
-        if len(block) > j:
-            continue
-        top = block[-1]
-        if best is None or top < best:
-            best = top
-    return best
-
-
-def minimax_count_brute(n: int, m: int, cap: Optional[int] = None) -> int:
+def minimax_count_brute(n: int, m: int, cap: int | None = None) -> int:
     """Number of partitions of {1..n} whose minimax vertex is m, by enumeration."""
     if n < 1 or not (1 <= m <= n):
         raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
@@ -405,7 +243,7 @@ def minimax_count_brute(n: int, m: int, cap: Optional[int] = None) -> int:
     return _statistic_row(n, n)[m]
 
 
-def kj_count_brute(n: int, m: int, j: int, cap: Optional[int] = None) -> int:
+def kj_count_brute(n: int, m: int, j: int, cap: int | None = None) -> int:
     """Number of partitions of {1..n} whose size-restricted minimax statistic is m.
 
     The statistic is the smallest per-block maximum over blocks with at most j

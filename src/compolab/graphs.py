@@ -10,8 +10,8 @@ package counts.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from operator import attrgetter
-from typing import Iterable, Sequence, Union
 
 from .errors import InvalidParametersError, MalformedInputError
 
@@ -20,7 +20,7 @@ from .errors import InvalidParametersError, MalformedInputError
 # costs nothing in practice; raise it if you really need wider graphs.
 MAX_LABEL = 64
 
-VertexSetLike = Union[int, Iterable[int]]
+VertexSetLike = int | Iterable[int]
 
 
 def label_mask(labels: Iterable[int]) -> int:

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -16,8 +17,8 @@ from pathlib import Path
 import pytest
 from conftest import COMP_TABLE, K1_TABLE
 
-from compolab import cli
-from compolab.cli import ROUTES, main, parse_bfile
+from compolab import cli, closedform, enumeration, listing, numtheory, tables
+from compolab.cli import ROUTES, main
 from compolab.closedform import (
     MemoStore,
     comp_count_explicit,
@@ -126,6 +127,21 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
              (brute + ["100000"], 3, "100000 vertices exceeds the brute-force cap"),
              (["enumerate", str(huge)], 2, "n = 1000000000 is above"),
              (["enumerate", str(wide)], 2, "n = 65 is above")]
+    for kind, cell in (("minimax", ["-m", "1"]), ("kj", ["-m", "0", "-j", "2"]),
+                       ("k1", ["-m", "0"])):
+        cases.append((["value", kind, *cell, "--method", "brute", "-n", str(10**9)], 3,
+                      "1000000000 vertices exceeds the brute-force cap"))
+    for kind in ("comp", "k1"):
+        cases.append((["table", kind, "--method", "brute", "--max-n", str(10**6)], 3,
+                      "13 vertices exceeds the brute-force cap"))
+    for suite, walked in (("threeway", 10**6), ("bijection", 10**6 + 1), ("k1", 10**6),
+                          ("reflection", 10**6)):
+        cases.append((["verify", suite, "--n-max", str(10**6)], 3,
+                      f"would enumerate {walked} vertices"))
+    # Left out until the exact routes get cost caps: each runs far past the
+    # timeout, though none allocates past the limit at once.
+    #   value bell -n 100000;  verify rowsum --n-max 1000000;
+    #   bfile rowsum --range 1000..1001;  table comp --max-n 1000000 (explicit)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     for argv, code, message in cases:
         done = subprocess.run([sys.executable, "-m", "compolab.cli", *argv], env=env,
@@ -133,6 +149,24 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
         assert (done.returncode, done.stdout) == (code, ""), (argv, done.stderr)
         assert done.stderr.count("\n") == 1 and message in done.stderr, argv
         assert "Traceback" not in done.stderr, argv
+
+
+def test_negative_brute_cap_is_a_usage_error(capsys):
+    # A cap below 0 is a bad flag value, refused by the parser (exit 2) before
+    # any route runs, not a resource refusal (exit 3).
+    for argv in (["table", "comp", "--max-n", "3", "--method", "brute"],
+                 ["value", "minimax", "-n", "3", "-m", "1", "--method", "brute"],
+                 ["verify", "threeway", "--n-max", "2"], ["enumerate", "missing.graph"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--max-brute-n", "-5"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1] == (
+            f"compolab {argv[0]}: error: argument --max-brute-n: must be 0 or more, got -5")
+    # 0 is a cap: the empty graph fits under it, one vertex does not.
+    brute = ["value", "comp", "-m", "0", "--method", "brute", "--max-brute-n", "0", "-n"]
+    assert run(capsys, *brute, "0") == (0, "1\n", "")
+    assert run(capsys, *brute, "1")[0] == 3
 
 
 def test_value_output_is_exact_decimal(capsys):
@@ -339,7 +373,7 @@ def test_table_explicit_reads_no_memo_cell(monkeypatch, capsys):
                 store._table[n, m] = store._inner[n, m] = 7
         return store
 
-    monkeypatch.setattr(cli, "MemoStore", poisoned)
+    monkeypatch.setattr(tables, "MemoStore", poisoned)
     _, out, _ = run(capsys, "table", "comp", "--max-n", "20", "--format", "json",
                     "--method", "explicit")
     assert [(r["n"], r["m"], r["value"]) for r in json.loads(out)] == [
@@ -461,6 +495,91 @@ def test_memo_conflict_is_a_failed_check_without_traceback(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def _skip_first_state(walker):
+    """The walker, one partition short: it skips the first state of each walk."""
+    def skipping(n):
+        states = walker(n)
+        next(states)
+        return states
+    return skipping
+
+
+def _plus_one(kernel):
+    """The kernel with 1 added to its result, or to each entry of a tuple result."""
+    def poisoned(*args):
+        value = kernel(*args)
+        return tuple(x + 1 for x in value) if isinstance(value, tuple) else value + 1
+    return poisoned
+
+
+# name -> (owner, attribute, poison): the kernels the agreement terms are built on.
+_KERNELS = {
+    "recursion": (closedform, "_comp_recursive", _plus_one),
+    "stirling-sum": (closedform, "_stirling_power_sum", _plus_one),
+    "bell-prefix": (closedform.MemoStore, "bell_numbers", _plus_one),
+    "bell-numbers": (numtheory, "bell_numbers", _plus_one),
+    "extensions": (enumeration, "_count_extensions", _plus_one),
+    "statistic-row": (enumeration, "_statistic_row", _plus_one),
+    "walker": (enumeration, "_block_stream", _skip_first_state),
+}
+
+# suite -> {kernel: the terms that move when it is poisoned}.  A kernel left
+# out moves no term and the suite still passes; one named moves exactly its
+# terms, and the suite fails.
+_KERNEL_TERMS = {
+    "threeway": {"recursion": {"recursive"}, "stirling-sum": {"explicit"},
+                 "extensions": {"brute"}, "walker": {"brute"}},
+    "k1": {"bell-prefix": {"formula"}, "statistic-row": {"brute"}, "walker": {"brute"}},
+    # The known defect: one Stirling sum, with identical arguments, serves both
+    # reflected-maximin and formula, so only the brute term checks them.  It
+    # stays until maximin has a brute route of its own.
+    "reflection": {"stirling-sum": {"reflected-maximin", "formula"},
+                   "statistic-row": {"brute"}, "walker": {"brute"}},
+    # The right-hand side, bell(n + 1), is not printed: poisoned Bell numbers
+    # move no term, but fail every check.
+    "rowsum": {"recursion": {"row_sum"}, "bell-numbers": set()},
+    # The one shared kernel: lhs and rhs both walk with _block_stream.  The
+    # suite checks the two maps between them, not the count.
+    "bijection": {"walker": {"lhs", "rhs"}, "recursion": {"expected"}},
+}
+
+_SUITE_N_MAX = {"threeway": 5, "k1": 6, "reflection": 6, "rowsum": 8, "bijection": 4}
+_clear_rows = enumeration._statistic_row.cache_clear  # kept: the poison replaces the name
+
+
+def _verify_terms(capsys, suite):
+    """A verify run's exit code and, per line, {term: value} (rowsum: its one sum)."""
+    _clear_rows()  # no row left from another run
+    code, out, _ = run(capsys, "verify", suite, "--n-max", str(_SUITE_N_MAX[suite]))
+    _clear_rows()  # no poisoned row left for later runs
+    lines = [line.split(None, 1)[1] for line in out.splitlines()[:-1]]
+    return code, [dict(re.findall(r"([\w-]+)=(\S+)", line))
+                  or {"row_sum": line.split()[2]} for line in lines]
+
+
+def test_each_agreement_term_reads_its_own_kernel(monkeypatch, capsys):
+    # Poison one kernel at a time: exactly the terms built on it move, so no
+    # simplification can let a route check itself without failing here.
+    assert sorted(_KERNEL_TERMS) == sorted(tables._SUITES) == list(cli._SUITE_NAMES)
+    for suite, moved in _KERNEL_TERMS.items():
+        clean_code, clean = _verify_terms(capsys, suite)
+        assert clean_code == 0, suite
+        for kernel, (owner, name, poison) in _KERNELS.items():
+            real = getattr(owner, name)
+            with monkeypatch.context() as patch:
+                # Every binding of the kernel, in whichever module imported it by name.
+                modules = [m for k, m in sys.modules.items() if k.startswith("compolab.")]
+                for module in [owner, *modules]:
+                    for attr, value in list(vars(module).items()):
+                        if value is real:
+                            patch.setattr(module, attr, poison(real))
+                code, poisoned = _verify_terms(capsys, suite)
+            changed = {term for before, after in zip(clean, poisoned, strict=True)
+                       for term in before if before[term] != after[term]}
+            assert changed == moved.get(kernel, set()), (suite, kernel)
+            assert code == (1 if kernel in moved else 0), (suite, kernel)
+
+
 def test_verify_brute_suite_respects_cap(capsys):
     code, _, _ = run(capsys, "verify", "threeway", "--n-max", "13")
     assert code == 3
@@ -554,12 +673,12 @@ def test_enumerate_lines_read_as_the_compositions_print(tmp_path, capsys):
         pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
         graphs.append(from_vertices_and_edges(labels, rng.sample(pairs, rng.randint(0, len(pairs)))))
     for g in graphs:
-        assert list(cli._composition_lines(g)) == [str(c) for c in compositions(g)], g
+        assert list(listing._composition_lines(g)) == [str(c) for c in compositions(g)], g
     # Bell(8) = 4140 compositions: more lines than one write takes.
     f = tmp_path / "k8.graph"
     f.write_text("n 8\n" + "".join(f"{u} {v}\n" for u in range(1, 9) for v in range(u + 1, 9)))
     code, out, _ = run(capsys, "enumerate", str(f))
-    assert 4140 > cli._LINES_PER_WRITE
+    assert 4140 > listing._LINES_PER_WRITE
     assert code == 0 and out == "".join(f"{c}\n" for c in compositions(complete(8)))
 
 
@@ -680,5 +799,5 @@ def test_bfile_k1zero_from_zero(capsys):
 
 
 def test_parse_bfile_comments_and_values():
-    parsed = parse_bfile("# c\n\n0 1\n5 203\n")
+    parsed = tables.parse_bfile("# c\n\n0 1\n5 203\n")
     assert parsed == {0: 1, 5: 203}

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from compolab.cli import ROUTES, _SUITES, main
+from compolab.cli import ROUTES, main
+from compolab.tables import _SUITES
 
 KINDS = sorted(ROUTES) + ["nope"]
 METHODS = sorted({method for _, routes in ROUTES.values() for method in routes}) + ["nope"]

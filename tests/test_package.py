@@ -36,44 +36,54 @@ def test_unknown_name_raises_an_attribute_error_naming_it():
         compolab.no_such_name
 
 
-# What a fresh process holds after importing the CLI and after running a
-# closed-form command, then each brute-force statistic and a brute-force
-# count, the count again with --workers at the CPU count (accepted, and still
-# counted in one process).  Runs without site, whose start-up files could load
-# any of these on their own.
-_SNAPSHOTS = """
-import json, os, sys
+# What a fresh process holds of the watched modules after importing the CLI,
+# and after running one command.  Runs without site, whose start-up files could
+# load any of these on their own.
+_LOADED = """
+import json, sys
 from compolab.cli import main
-loaded = [set(sys.modules)]
-main(["value", "bell", "-n", "5"])
-loaded.append(set(sys.modules))
-main(["value", "minimax", "-n", "5", "-m", "2", "--method", "brute"])
-loaded.append(set(sys.modules))
-main(["value", "kj", "-n", "5", "-m", "3", "-j", "2"])
-loaded.append(set(sys.modules))
-main(["value", "comp", "-n", "5", "-m", "2", "--method", "brute"])
-loaded.append(set(sys.modules))
-main(["value", "comp", "-n", "5", "-m", "2", "--method", "brute", "--workers", str(os.cpu_count() or 1)])
-loaded.append(set(sys.modules))
-watched = %r
-print(json.dumps([sorted(watched & names) for names in loaded]))
+if sys.argv[1:]:
+    main(sys.argv[1:])
+print(json.dumps(sorted(%r & set(sys.modules))))
 """
 
-_HEAVY = ("multiprocessing", "dataclasses", "pathlib", "typing", "compolab.enumeration",
-          "compolab.graphs", "compolab.bijection")
+_HEAVY = {"multiprocessing", "dataclasses", "pathlib", "typing"} | {
+    f"compolab.{name}" for name in ("bijection", "closedform", "enumeration", "graphs",
+                                    "listing", "numtheory", "partitions", "tables")
+}
 
 
-def test_commands_import_only_the_modules_they_run():
+def _loaded(*argv: str) -> tuple[list[str], set[str]]:
+    """What a fresh process running ``compolab ARGV`` prints, and the watched
+    modules it holds at the end."""
     env = dict(os.environ, PYTHONPATH=str(Path(compolab.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-S", "-c", _SNAPSHOTS % (set(_HEAVY),)],
+    done = subprocess.run([sys.executable, "-S", "-c", _LOADED % (_HEAVY,), *argv],
                           env=env, capture_output=True, text=True, check=True)
-    after_import, after_bell, *after_brute = json.loads(done.stdout.splitlines()[-1])
-    assert done.stdout.splitlines()[:5] == ["52", "15", "11", "47", "47"]
-    assert after_import == []
-    assert after_bell == []
-    for loaded in after_brute:
-        assert "compolab.enumeration" in loaded
-        assert "multiprocessing" not in loaded
+    *printed, loaded = done.stdout.splitlines()
+    return printed, {name.removeprefix("compolab.") for name in json.loads(loaded)}
+
+
+def test_commands_import_only_the_modules_they_run(tmp_path):
+    graph = tmp_path / "k3.graph"
+    graph.write_text("n 3\n1 2\n2 3\n1 3\n")
+    brute = ["--method", "brute"]
+    # A brute-force count builds no Partition, so no command below loads the
+    # object layer; a brute statistic reads no graph; and --workers at the CPU
+    # count is accepted and still counts in one process.
+    expected = [
+        ((), [], set()),
+        (("value", "bell", "-n", "5"), ["52"], {"numtheory"}),
+        (("value", "comp", "-n", "5", "-m", "2"), ["47"], {"closedform", "numtheory"}),
+        (("value", "minimax", "-n", "5", "-m", "2", *brute), ["15"], {"enumeration"}),
+        (("value", "kj", "-n", "5", "-m", "3", "-j", "2"), ["11"], {"enumeration"}),
+        (("value", "comp", "-n", "5", "-m", "2", *brute), ["47"], {"enumeration", "graphs"}),
+        (("value", "comp", "-n", "5", "-m", "2", *brute, "--workers", str(os.cpu_count() or 1)),
+         ["47"], {"enumeration", "graphs"}),
+        (("enumerate", str(graph)), ["{1,2,3}", "{1,2}|{3}", "{1,3}|{2}", "{1}|{2,3}",
+                                     "{1}|{2}|{3}"], {"enumeration", "graphs", "listing"}),
+    ]
+    for argv, printed, modules in expected:
+        assert _loaded(*argv) == (printed, modules), argv
 
 
 # A text-format value and an enumeration, in a fresh process without site.
