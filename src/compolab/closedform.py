@@ -10,13 +10,14 @@ the test suite plays against each other and against direct enumeration:
 * the minimax identity comp(n, m) = minimax_count_formula(n+1, m+1).
 
 An explicit Stirling sum that is lent a ``MemoStore`` adds up the store's
-weight vector (S(d,0)*1^e, ..., S(d,d)*(d+1)^e).  A table walks its cells by
-diagonal d = n - m with m ascending, so consecutive cells step the exponent
-by one and the vector steps by multiplying each term by its small base k.
-The vector holds Stirling numbers times powers of integers and never a comp
-value, and the recursion never reads it, so the explicit and recursive
-routes still share no values.  A sum with no store computes each power as it
-adds its term, and so holds one term at a time.
+weight vector for its diagonal d = n - m, (S(d,0)*1^e, ..., S(d,d)*(d+1)^e).
+The store keeps one vector per diagonal, so a table that walks its rows in
+order finds each vector one exponent behind and steps it by multiplying each
+term by its small base k; each diagonal builds its vector once, from the one
+Stirling row the store keeps.  The vectors hold Stirling numbers times powers
+of integers and never a comp value, and the recursion never reads them, so
+the explicit and recursive routes still share no values.  A sum with no store
+computes each power as it adds its term, and so holds one term at a time.
 
 It also provides the two partition statistics the identity rests on (minimax:
 smallest per-block maximum; maximin: largest per-block minimum), the
@@ -53,21 +54,22 @@ class MemoStore:
     count them.
 
     The closed forms read the store's number tables, which hold no comp value
-    and which the recursion never reads: the Stirling rows asked for, one
-    weight vector for the explicit sums, and a Bell prefix.  A call lent no
-    store builds its rows from row 0; a loop of many calls should lend one.
+    and which the recursion never reads: one weight vector per diagonal for
+    the explicit sums, the highest Stirling row built, and a Bell prefix.  A
+    call lent no store builds its rows from row 0; a loop of many calls should
+    lend one.
     """
 
-    __slots__ = ("_table", "_inner", "_weights", "_rows", "_bells")
+    __slots__ = ("_table", "_inner", "_weights", "_row", "_bells")
 
     def __init__(self) -> None:
         self._table: dict[tuple[int, int], int] = {}
         self._inner: dict[tuple[int, int], int] = {}
-        self._rows: dict[int, tuple[int, ...]] = {0: (1,)}  # d -> Stirling row d
-        # (d, e, weights) and (B(0..r), Bell-triangle row r) are each replaced
-        # whole, so that a store shared between threads never pairs a key
-        # with another key's numbers.
-        self._weights: tuple[int, int, tuple[int, ...]] = (0, 0, (1,))
+        self._weights: dict[int, tuple[int, tuple[int, ...]]] = {}  # d -> (e, weights)
+        # Stirling row r and (B(0..r), Bell-triangle row r) are each replaced
+        # whole, and so is a diagonal's (e, weights), so that a store shared
+        # between threads never pairs a key with another key's numbers.
+        self._row: tuple[int, ...] = (1,)
         self._bells: tuple[tuple[int, ...], tuple[int, ...]] = ((1,), (1,))
 
     def get(self, n: int, m: int) -> int | None:
@@ -86,28 +88,30 @@ class MemoStore:
         return sorted(self._table.items())
 
     def weights(self, d: int, e: int) -> tuple[int, ...]:
-        """(S(d,0)*1**e, S(d,1)*2**e, ..., S(d,d)*(d+1)**e), from the kept vector.
+        """(S(d,0)*1**e, S(d,1)*2**e, ..., S(d,d)*(d+1)**e), from diagonal d's vector.
 
-        The same (d, e) returns it; (d, e + 1) multiplies each term by its
-        base k; any other pair rebuilds it from Stirling row d.
+        The same e returns it; e + 1 multiplies each term by its base k; any
+        other e, or a diagonal with no vector yet, builds it from Stirling row d
+        and drops every vector whose d + e is neither d + e nor one less: a
+        walk in row order steps no other, and a loop that jumps keeps no more.
         """
-        kept_d, kept_e, vector = self._weights
-        if d != kept_d or e not in (kept_e, kept_e + 1):
-            vector = tuple(_weight_terms(self.stirling_row(d), e))
-        elif e != kept_e:
+        kept_e, vector = self._weights.get(d, (None, ()))
+        if kept_e == e - 1:
             vector = tuple(map(operator.mul, vector, range(1, d + 2)))
-        self._weights = (d, e, vector)
+        elif kept_e != e:
+            vector = tuple(_weight_terms(self.stirling_row(d), e))
+            self._weights = {k: kept for k, kept in self._weights.items()
+                             if 0 <= d + e - k - kept[0] <= 1}
+        self._weights[d] = (e, vector)
         return vector
 
     def stirling_row(self, d: int) -> tuple[int, ...]:
-        """(S(d,0), ..., S(d,d)), kept; a new row is built from the highest
-        kept row below it, and the rows in between are not kept."""
-        row = self._rows.get(d)
-        if row is None:
-            # A copy of the keys: another thread may add a row meanwhile.
-            below = max(r for r in tuple(self._rows) if r < d)
-            row = self._rows[d] = _stirling_from(self._rows[below], d)
-        return row
+        """(S(d,0), ..., S(d,d)).  Only the highest row built is kept: a row
+        above it is grown from it, and a row below it is built from row 0."""
+        row = self._row
+        if len(row) <= d:
+            row = self._row = _stirling_from(row, d)
+        return row if len(row) == d + 1 else _stirling_from((1,), d)
 
     def bell_numbers(self, n: int) -> tuple[int, ...]:
         """(B(0), ..., B(n)), from the kept Bell prefix, grown first if too short."""
@@ -184,9 +188,9 @@ def _stirling_power_sum(d: int, e: int, store: MemoStore | None) -> int:
 def comp_count_explicit(n: int, m: int, memo: MemoStore | None = None) -> int:
     """comp(n, m) by the explicit Stirling sum: sum_{k=1}^{n-m+1} S(n-m, k-1) * k^m.
 
-    ``memo`` lends its weight vector, so that the cells of one diagonal (same
-    n - m, m ascending) step it instead of rebuilding it; with ``memo=None``
-    each power is computed as its term is added.
+    ``memo`` lends the vector of diagonal n - m, so that the cells of one
+    diagonal, m ascending, step it instead of rebuilding it; with
+    ``memo=None`` each power is computed as its term is added.
     """
     _check_pair(n, m)
     return _stirling_power_sum(n - m, m, memo)

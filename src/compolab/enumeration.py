@@ -162,16 +162,20 @@ def _position_adjacency(g: LabelledGraph) -> list[int]:
     return padj
 
 
-def _connectivity_table(padj: list[int]) -> bytearray:
-    """conn[mask] = 1 iff the positions in mask induce a connected subgraph."""
-    from .graphs import mask_connected
-
-    n = len(padj)
+def _check_table_size(n: int) -> None:
     if n > _TABLE_MAX_N:
         raise ResourceLimitError(
             f"{n} vertices need a connectivity table of 2**{n} entries, above the "
             f"limit of 2**{_TABLE_MAX_N} whatever the brute-force cap"
         )
+
+
+def _connectivity_table(padj: list[int]) -> bytearray:
+    """conn[mask] = 1 iff the positions in mask induce a connected subgraph."""
+    from .graphs import mask_connected
+
+    n = len(padj)
+    _check_table_size(n)
     table = bytearray(1 << n)
     for mask in range(1, 1 << n):
         table[mask] = mask_connected(mask, padj)

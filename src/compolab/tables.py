@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from . import closedform, numtheory
 from .cli import (
@@ -31,46 +31,51 @@ from .errors import InvalidParametersError, MalformedInputError, ResourceLimitEr
 # table
 # ---------------------------------------------------------------------------
 
-def _table_rows(args: argparse.Namespace, first: int, route: Route) -> list[list[str]]:
-    """Rows ``first..--max-n`` of the table, each cell as a decimal string."""
+def _table_rows(args: argparse.Namespace, first: int, route: Route) -> Iterator[list[str]]:
+    """Rows ``first..--max-n`` of the table in order, each cell as a decimal
+    string.  Each row steps every diagonal's weight vector in the shared store
+    by one exponent, so an explicit sum builds each vector once."""
     memo = MemoStore()
-    rows = [[""] * (n + 1) for n in range(first, args.max_n + 1)]
-    # Diagonal by diagonal (d = n - m, m ascending), so that consecutive
-    # explicit sums step their weight vector from exponent m to m + 1.
-    for d in range(args.max_n + 1):
-        for m in range(max(first - d, 0), args.max_n - d + 1):
-            rows[m + d - first][m] = str(route(args, memo, m + d, m))
-    return rows
+    for n in range(first, args.max_n + 1):
+        yield [str(route(args, memo, n, m)) for m in range(n + 1)]
 
 
-def _render_table(rows: list[list[str]], fmt: str, first: int, method: str) -> str:
-    max_n = first + len(rows) - 1
+def _write_table(rows: Iterator[list[str]], fmt: str, first: int, max_n: int,
+                 method: str) -> None:
+    """Write csv and json a row at a time, as ``rows`` yields them; text
+    collects every row first, because its column width is the widest cell."""
+    write = sys.stdout.write
     if fmt == "json":
-        import json
-
-        return json.dumps([
-            {"n": n, "m": m, "value": value, "method": method}
-            for n, row in enumerate(rows, first) for m, value in enumerate(row)
-        ], indent=2)
-    if fmt == "csv":
-        header = "n," + ",".join(f"m{m}" for m in range(max_n + 1))
-        lines = [header]
+        # json.dumps(cells, indent=2), one cell at a time: neither a method
+        # name nor a decimal string needs escaping.
+        sep = "[\n"
         for n, row in enumerate(rows, first):
-            lines.append(",".join([str(n), *row]))
-        return "\n".join(lines)
-    # text: aligned lower-triangular grid
-    width = max(
-        [len(value) for row in rows for value in row] + [len(str(max_n)), len(f"m{max_n}"), 3]
-    )
-    header = " " * (width + 3) + " ".join(f"m{m}".rjust(width) for m in range(max_n + 1))
-    lines = [header.rstrip()]
-    for n, row in enumerate(rows, first):
-        lines.append(
-            str(n).rjust(width)
-            + " | "
-            + " ".join(value.rjust(width) for value in row)
+            for m, value in enumerate(row):
+                write(f'{sep}  {{\n    "n": {n},\n    "m": {m},\n    "value": "{value}",\n'
+                      f'    "method": "{method}"\n  }}')
+                sep = ",\n"
+        write("\n]\n")
+    elif fmt == "csv":
+        write("n," + ",".join(f"m{m}" for m in range(max_n + 1)) + "\n")
+        for n, row in enumerate(rows, first):
+            write(f"{n},{','.join(row)}\n")
+    else:  # text: aligned lower-triangular grid
+        rows = list(rows)
+        width = max(
+            [len(value) for row in rows for value in row] + [len(str(max_n)), len(f"m{max_n}"), 3]
         )
-    return "\n".join(lines)
+        header = " " * (width + 3) + " ".join(f"m{m}".rjust(width) for m in range(max_n + 1))
+        write(header.rstrip() + "\n")
+        for n, row in enumerate(rows, first):
+            write(f"{str(n).rjust(width)} | {' '.join(value.rjust(width) for value in row)}\n")
+
+
+def _check_graphs(n_max: int) -> None:
+    """Refuse, before any cell, brute graph work on more vertices than a
+    connectivity table holds, naming the first graph over the limit."""
+    from .enumeration import _TABLE_MAX_N, _check_table_size
+
+    _check_table_size(min(n_max, _TABLE_MAX_N + 1))
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -80,10 +85,13 @@ def cmd_table(args: argparse.Namespace) -> int:
             f"--max-n must be >= {first} for the {args.kind} table"
         )
     method, _, route = _select_route(args)
-    if method == "brute" and args.max_n > args.max_brute_n:
+    if method == "brute":
         # Refuse before any cell, naming the first row over the cap.
-        check_cap(max(first, args.max_brute_n + 1), args.max_brute_n)
-    print(_render_table(_table_rows(args, first, route), args.format, first, method))
+        if args.max_n > args.max_brute_n:
+            check_cap(max(first, args.max_brute_n + 1), args.max_brute_n)
+        if args.kind == "comp":
+            _check_graphs(args.max_n)
+    _write_table(_table_rows(args, first, route), args.format, first, args.max_n, method)
     return EXIT_OK
 
 
@@ -176,6 +184,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"suite {args.suite!r} with --n-max {args.n_max} would enumerate "
             f"{args.n_max + offset} vertices, above the brute-force cap of {args.max_brute_n}"
         )
+    if args.suite in ("threeway", "bijection"):  # their brute terms build graphs
+        _check_graphs(args.n_max)
     checks = _SUITES[args.suite](args.n_max, args, MemoStore())
     failures = 0
     for description, passed in checks:
@@ -227,25 +237,21 @@ def cmd_bfile(args: argparse.Namespace) -> int:
     start, end = _parse_range(args.range)
     reference = None if args.compare is None else parse_bfile(_read_text(args.compare))
     store = MemoStore()
-    terms: list[tuple[int, int]] = []
+    mismatches = []  # printed after the terms, as the reference is checked
     for index in range(start, end + 1):
         if args.kind == "rowsum":
-            terms.append((index, closedform.row_sum(index, memo=store)))
+            value = closedform.row_sum(index, memo=store)
         else:  # k1zero
-            terms.append((index, closedform.k1_count_formula(index, 0, memo=store)))
-    for index, value in terms:
+            value = closedform.k1_count_formula(index, 0, memo=store)
         print(f"{index} {value}")
-    if reference is None:
-        return EXIT_OK
-    mismatches = 0
-    for index, value in terms:
+        if reference is None:
+            continue
         if index not in reference:
-            print(f"MISMATCH index {index}: missing from reference", file=sys.stderr)
-            mismatches += 1
+            mismatches.append(f"MISMATCH index {index}: missing from reference")
         elif reference[index] != value:
-            print(
-                f"MISMATCH index {index}: computed {value}, reference {reference[index]}",
-                file=sys.stderr,
+            mismatches.append(
+                f"MISMATCH index {index}: computed {value}, reference {reference[index]}"
             )
-            mismatches += 1
-    return EXIT_OK if mismatches == 0 else EXIT_VERIFY_FAILED
+    for line in mismatches:
+        print(line, file=sys.stderr)
+    return EXIT_VERIFY_FAILED if mismatches else EXIT_OK

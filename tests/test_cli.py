@@ -12,6 +12,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -236,7 +237,17 @@ class _ClosedPipe(io.StringIO):
 def test_broken_pipe_exits_2(monkeypatch, capsys, tmp_path):
     graph = tmp_path / "k4.graph"
     graph.write_text("n 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
-    for argv in (["table", "comp", "--max-n", "6"], ["enumerate", str(graph)]):
+    rows = set()  # the rows whose cells the explicit route computed
+    real = closedform.comp_count_explicit
+
+    def counting(n, m, memo=None):
+        rows.add(n)
+        return real(n, m, memo=memo)
+
+    monkeypatch.setattr(closedform, "comp_count_explicit", counting)
+    streamed = ["table", "comp", "--max-n", "150", "--format", "csv"]
+    for argv in (["table", "comp", "--max-n", "6"], streamed, ["enumerate", str(graph)]):
+        rows.clear()
         read_end, write_end = os.pipe()
         try:
             monkeypatch.setattr(sys, "stdout", _ClosedPipe(write_end))
@@ -247,6 +258,8 @@ def test_broken_pipe_exits_2(monkeypatch, capsys, tmp_path):
         assert code == 2, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err, argv
+        # A streamed table stops at its first failed write.
+        assert argv is not streamed or len(rows) <= 1, rows
 
 
 class _FullDevice(_ClosedPipe):
@@ -347,8 +360,8 @@ def test_table_k1_brute_matches_reference(capsys):
     ("recursive", comp_count_recursive),
 ])
 def test_table_explicit_matches_each_cell_alone(capsys, method, count):
-    # The table evaluates diagonal by diagonal over one store; each cell must
-    # equal its own count over a fresh store, in row-major order.
+    # The table evaluates row by row over one store; each cell must equal its
+    # own count over a fresh store, in row-major order.
     expected = [(n, m, str(count(n, m))) for n in range(41) for m in range(n + 1)]
     _, csv_out, _ = run(capsys, "table", "comp", "--max-n", "40", "--format", "csv",
                         "--method", method)
@@ -432,6 +445,100 @@ def test_table_k1_rejects_paper_literal(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["table", kind, "--max-n", "4", "--paper-literal", "--method", "brute"])
         assert exc.value.code == 2
+
+
+def test_brute_graphs_over_20_vertices_are_refused_before_any_cell():
+    # A raised cap does not lift the connectivity table's limit: a brute comp
+    # table, or a threeway or bijection suite, whose graphs reach 21 vertices
+    # exits 3 at once with nothing on stdout, naming the first graph over the
+    # limit.  Unrefused, its first cells would walk Bell(11) to Bell(18)
+    # partitions, and a streamed table would print rows before failing.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    message = ("error: 21 vertices need a connectivity table of 2**21 entries, above the "
+               "limit of 2**20 whatever the brute-force cap\n")
+    for argv in (["table", "comp", "--method", "brute", "--max-n", "21"],
+                 ["table", "comp", "--method", "brute", "--max-n", "24", "--format", "csv"],
+                 ["verify", "threeway", "--n-max", "21"],
+                 ["verify", "bijection", "--n-max", "21"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "compolab.cli", *argv, "--max-brute-n", "25"],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (3, "", message), argv
+
+
+@pytest.mark.parametrize("kind,method", [
+    ("comp", "explicit"), ("comp", "recursive"), ("comp", "brute"), ("comp", "paper-literal"),
+    ("k1", "formula"), ("k1", "brute"),
+])
+def test_table_bytes_match_the_whole_table(capsys, kind, method):
+    # Each format is written as its rows come; the bytes must equal the
+    # whole table rendered at once: json.dumps of the cells, the csv lines,
+    # and the text grid aligned to its widest cell.
+    first = cli._TABLE_FIRST_ROW[kind]
+    count = {"comp": comp_count_explicit, "k1": closedform.k1_count_formula}[kind]
+    if method == "paper-literal":
+        count = comp_count_paper_literal
+    for max_n in (first, first + 1, 5, 9, *([] if method == "brute" else [25])):
+        rows = [[str(count(n, m)) for m in range(n + 1)] for n in range(first, max_n + 1)]
+        table = ["table", kind, "--max-n", str(max_n), "--method", method, "--format"]
+        cells = [{"n": n, "m": m, "value": value, "method": method}
+                 for n, row in enumerate(rows, first) for m, value in enumerate(row)]
+        assert run(capsys, *table, "json") == (0, json.dumps(cells, indent=2) + "\n", "")
+        csv = ["n," + ",".join(f"m{m}" for m in range(max_n + 1))]
+        csv += [",".join([str(n), *row]) for n, row in enumerate(rows, first)]
+        assert run(capsys, *table, "csv") == (0, "\n".join(csv) + "\n", ""), max_n
+        width = max([len(c["value"]) for c in cells] + [len(str(max_n)), len(f"m{max_n}"), 3])
+        header = " " * (width + 3) + " ".join(f"m{m}".rjust(width) for m in range(max_n + 1))
+        text = [header.rstrip()]
+        text += [f"{n:>{width}} | " + " ".join(value.rjust(width) for value in row)
+                 for n, row in enumerate(rows, first)]
+        assert run(capsys, *table, "text") == (0, "\n".join(text) + "\n", ""), max_n
+
+
+@pytest.mark.parametrize("argv,diagonals", [
+    (["table", "comp", "--max-n", "30", "--format", "csv"], 31),
+    (["table", "comp", "--max-n", "30", "--paper-literal"], 31),
+    (["verify", "threeway", "--n-max", "9"], 10),
+    (["verify", "reflection", "--n-max", "9"], 9),
+])
+def test_each_diagonal_builds_its_weight_vector_once(monkeypatch, capsys, argv, diagonals):
+    # Each row steps every diagonal's vector in the shared store by one
+    # exponent, so a command builds one vector per diagonal from its
+    # Stirling row, whatever order its cells take within a row.
+    built = []
+    real = closedform._weight_terms
+
+    def counting(row, e):
+        built.append(len(row) - 1)
+        return real(row, e)
+
+    monkeypatch.setattr(closedform, "_weight_terms", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert sorted(built) == list(range(diagonals)), built
+
+
+class _Discard(io.TextIOBase):
+    """A stdout that keeps nothing it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_streams_its_rows(monkeypatch, fmt):
+    # csv and json write each row as it is computed, so no table is held
+    # whole.  At --max-n 150 Python's allocations peak at about 1.6 MiB; a
+    # table rendered whole peaked at 4.6 MiB (csv) and 16 MiB (json).
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    assert main(["table", "comp", "--max-n", "3", "--format", fmt]) == 0  # load first
+    tracemalloc.start()
+    try:
+        assert main(["table", "comp", "--max-n", "150", "--format", fmt]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +898,23 @@ def test_bfile_negative_range_reaches_the_range_check(capsys):
         code, out, err = run(capsys, "bfile", "rowsum", *argv)
         assert code == 2 and out == ""
         assert err == "error: range must start at 0 or above, got '-3..2'\n"
+
+
+def test_bfile_writes_each_term_as_it_computes_it(monkeypatch):
+    # When a term is computed, the lines of every term before it are out.
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    printed = []
+    real = closedform.row_sum
+
+    def counting(n, memo=None):
+        printed.append(out.getvalue().count("\n"))
+        return real(n, memo=memo)
+
+    monkeypatch.setattr(closedform, "row_sum", counting)
+    assert main(["bfile", "rowsum", "--range", "3..7"]) == 0
+    assert printed == [0, 1, 2, 3, 4]
+    assert out.getvalue() == "3 15\n4 52\n5 203\n6 877\n7 4140\n"
 
 
 def test_bfile_k1zero_from_zero(capsys):

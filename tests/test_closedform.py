@@ -21,6 +21,7 @@ from compolab import (
     minimax_count_formula,
     row_sum,
     stirling2,
+    stirling_row,
 )
 
 
@@ -250,21 +251,36 @@ def test_memo_store_weights_follow_a_random_call_sequence():
             d = rng.randint(0, 40)
         expected = tuple(stirling2(d, k - 1) * k**e for k in range(1, d + 2))
         assert store.weights(d, e) == expected, (d, e)
-    assert store.weights(7, e + 1) and store._weights[:2] == (7, e + 1)
+    assert store.weights(7, e + 1) and store._weights[7][0] == e + 1
     # Stirling rows and Bell prefixes asked for rising, falling and jumping,
-    # on both sides of a clear(); a row is kept only when it was asked for.
+    # on both sides of a clear(); only the highest row asked for is kept.
     for rows, prefixes in (([*range(9), 8, 3, 0, 30, 12, 31, 80, 79, 45], [0, 5, 3, 40, 2, 41]),
                            ([50, 49, 2, 51, 0, 20], [60, 1, 0, 61])):
         store.clear()
-        assert store._weights == (0, 0, (1,)) and store._bells == ((1,), (1,))
+        assert store._weights == {} and store._bells == ((1,), (1,))
         for d in rows:
             assert store.stirling_row(d) == tuple(stirling2(d, k) for k in range(d + 1)), d
-        assert sorted(store._rows) == sorted({0, *rows})
+        assert store._row == stirling_row(max(rows))
         for n in prefixes:
             assert store.bell_numbers(n) == tuple(map(bell, range(n + 1))), n
         assert len(store._bells[0]) == max(prefixes) + 1
     store.clear()
-    assert store._rows == {0: (1,)}
+    assert store._row == (1,)
+
+
+def test_memo_store_keeps_the_vectors_a_row_walk_steps_next():
+    # A walk in row order keeps a vector for every diagonal; a loop whose
+    # rows jump, up or down, keeps only its last sum's vector.
+    store = MemoStore()
+    for n in range(31):
+        for m in range(n + 1):
+            comp_count_explicit(n, m, memo=store)
+    assert sorted(store._weights) == list(range(31))
+    for rows in (range(0, 400, 20), range(400, 0, -20)):
+        store = MemoStore()
+        for n in rows:
+            assert comp_count_explicit(n, n // 2, memo=store) == comp_count_explicit(n, n // 2)
+        assert list(store._weights) == [n - n // 2], n
 
 
 def test_explicit_sums_share_one_store_without_touching_its_cells():
@@ -274,7 +290,7 @@ def test_explicit_sums_share_one_store_without_touching_its_cells():
             assert comp_count_explicit(n, m, memo=store) == comp_count_explicit(n, m), (n, m)
             assert comp_count_paper_literal(n, m, memo=store) == comp_count_paper_literal(n, m)
     assert len(store) == 0 and not store._inner
-    assert store._weights[:2] == (30, 0)  # the last sum's: paper-literal at (30, 30)
+    assert store._weights[30][0] == 0  # diagonal 30's last sum: paper-literal at (30, 30)
     for n in range(31):
         for m in range(n + 1):
             assert k1_count_formula(n, m, memo=store) == k1_count_formula(n, m), (n, m)

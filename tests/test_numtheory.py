@@ -97,8 +97,8 @@ def test_stirling2_keeps_no_triangle():
 
 
 def test_explicit_sum_keeps_only_the_rows_it_asked_for():
-    # With no store lent, the sums keep nothing; a store keeps the one
-    # Stirling row each diagonal asked for, and no row in between.
+    # With no store lent, the sums keep nothing; a store keeps the highest
+    # Stirling row asked for, and no row below it.
     def sums():
         for n in range(0, 601, 20):
             comp_count_explicit(n, n // 2)
@@ -107,7 +107,7 @@ def test_explicit_sum_keeps_only_the_rows_it_asked_for():
     assert kept < 64 * 1024, kept
     store = MemoStore()
     comp_count_explicit(400, 0, memo=store)
-    assert sorted(store._rows) == [0, 400]
+    assert store._row == stirling_row(400) and list(store._weights) == [400]
 
 
 def test_bell_keeps_no_stirling_triangle():
@@ -185,7 +185,7 @@ def test_negative_arguments_rejected(func):
 
 
 def test_concurrent_growth_is_consistent():
-    # Six threads share one store and grow its Stirling rows, weight vector
+    # Six threads share one store and grow its Stirling row, weight vectors
     # and Bell prefix in whatever order the switches fall; every value must
     # equal the one a fresh store gives.
     store, fresh = MemoStore(), MemoStore()
@@ -199,8 +199,8 @@ def test_concurrent_growth_is_consistent():
 
     def worker(seed):
         # Each thread takes its own order of the rows, the diagonals and the
-        # k1 cells, so rows are added while others look for the one below,
-        # and the weight vector and the Bell prefix rise and fall.
+        # k1 cells, so the kept row is replaced while others read it, and the
+        # weight vectors and the Bell prefix rise and fall.
         rng = random.Random(seed)
         rows = {d: store.stirling_row(d) for d in rng.sample(range(150), 150)}
         order = [i for d in rng.sample(range(len(diagonals)), len(diagonals))
