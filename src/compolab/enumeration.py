@@ -7,27 +7,32 @@ walker, ``_block_stream``, yields them in lexicographic RGS order with every
 block kept in place as a bitset of positions: ``bit_length`` is a block's
 largest label and ``bit_count`` its size.
 
-The counters walk the partitions of all labels but the last two and score
-every placement of those two (each alone, together, or joined to blocks) from
-one pass over the blocks, so they visit Bell(n - 2) partitions instead of
-Bell(n).  A partition of k blocks stands for (k + 2) + k(k + 1) leaves.  One
-walk scores a whole cached row of the size-restricted minimax statistic;
-minimax is its j = n row.  Each placement is still decided from the
-blocks and the connectivity table alone — no closed forms are consulted here,
-so these routines can serve as independent oracles for them.  A cap (default
-12), checked before the row cache is read, guards against Bell(20)-scale runs.
-``_composition_states`` walks Bell(n - 1) partitions and places the last
-label where every block stays connected.
+The counters walk the partitions of all labels but the last few and score
+the placements of the rest in aggregate.  ``_statistic_row`` walks Bell(n - 2)
+partitions and scores every placement of the last two labels (each alone,
+together, or joined to blocks) from one pass over the blocks: a partition of
+k blocks stands for (k + 2) + k(k + 1) leaves.  One walk scores a whole
+cached row of the size-restricted minimax statistic; minimax is its j = n
+row.  ``_count_extensions`` walks Bell(n - 3) partitions, places the third
+last label in each block and alone, and scores the last two labels of each
+placement from a packed sum of per-block weights, once per distinct sum.
+Each placement is still decided from the blocks and the connectivity table
+alone — no closed forms are consulted here, so these routines can serve as
+independent oracles for them.  A cap (default 12), checked before the row
+cache is read, guards against Bell(20)-scale runs.  ``_composition_states``
+walks Bell(n - 1) partitions and places the last label where every block
+stays connected.
 
 Of the package this module imports only ``errors``, so a brute-force
-statistic loads no other code.  Graphs are read through their ``n``, ``labels`` and ``adj``, and
-``graphs`` is loaded only to build a connectivity table.  The object layer
-(``Partition``, ``Composition`` and their streams) lives in ``partitions``;
-its names still resolve here, loaded on first use.
+statistic loads no other code.  Graphs are read through their ``n``, ``labels``
+and ``adj``, so building a connectivity table loads no ``graphs`` code either.
+The object layer (``Partition``, ``Composition`` and their streams) lives in
+``partitions``; its names still resolve here, loaded on first use.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
@@ -50,8 +55,9 @@ def __getattr__(name: str):
 
 
 # Largest vertex count whose connectivity table is built, whatever the cap: at
-# 20 vertices the table takes 1-2 s and 1 MiB, and a walk over Bell(19)
-# partitions would never end anyway.
+# 20 vertices the table takes 0.2-0.7 s on one core (a path 0.23 s, K20 - K10
+# 0.57 s, K20 0.67 s) and 1 MiB, with 4 MiB of scratch while it is built, and
+# a walk over Bell(17) or more partitions would never end anyway.
 _TABLE_MAX_N = 20
 
 
@@ -151,15 +157,7 @@ def _composition_states(g: LabelledGraph, cap: int | None = None) -> Iterator[_S
 def _position_adjacency(g: LabelledGraph) -> list[int]:
     """Re-index adjacency onto positions 0..n-1 of the sorted label tuple."""
     labels = g.labels
-    position = {v: i for i, v in enumerate(labels)}
-    padj = [0] * len(labels)
-    for i, v in enumerate(labels):
-        rest = g.adj[v]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            padj[i] |= 1 << position[low.bit_length() - 1]
-    return padj
+    return [sum(1 << i for i, u in enumerate(labels) if g.adj[v] >> u & 1) for v in labels]
 
 
 def _check_table_size(n: int) -> None:
@@ -171,61 +169,79 @@ def _check_table_size(n: int) -> None:
 
 
 def _connectivity_table(padj: list[int]) -> bytearray:
-    """conn[mask] = 1 iff the positions in mask induce a connected subgraph."""
-    from .graphs import mask_connected
+    """conn[mask] = 1 iff the nonempty set of positions in mask induces a
+    connected subgraph; conn[0] is 0.
 
+    A dynamic program over masks, with no search: reach[mask] is the component
+    of mask's lowest position.  Masks are visited by their highest position h,
+    as r | 1 << h.  If h touches nothing in reach[r], reach[mask] = reach[r]
+    (for r = 0, reach[0] = 0 stands for h alone).  Otherwise h merges
+    reach[r] with every other component of r it touches; each is reach[rest],
+    where rest is r with whole components taken out, so it is already known
+    and is one component.  reach holds 4 << n bytes of scratch, freed on return.
+    """
     n = len(padj)
     _check_table_size(n)
-    table = bytearray(1 << n)
-    for mask in range(1, 1 << n):
-        table[mask] = mask_connected(mask, padj)
-    return table
+    conn = bytearray(1 << n)
+    reach = memoryview(bytearray(4 << n)).cast("I")
+    for h, near in enumerate(padj):
+        bit = 1 << h
+        for r in range(bit):
+            got = reach[r] or bit
+            if got & near:
+                got, rest = got | bit, r & ~got
+                while rest & near:
+                    part = reach[rest]
+                    rest ^= part
+                    if part & near:
+                        got |= part
+            mask = r | bit
+            reach[mask] = got
+            conn[mask] = got == mask
+    return conn
 
 
 def _count_extensions(n: int, conn: Sequence[int]) -> int:
     """Count the partitions of positions 0..n-1 that have every block connected.
 
-    The walk covers positions 0..n-3 and scores every placement of p = n - 2
-    and q = n - 1 at once.  For a block B let a = conn[B|p], b = conn[B|q] and
-    c = conn[B|p|q], summed (Σ) over the connected blocks.  A partition with no
-    disconnected block counts 1 + conn[p|q] + Σa + Σb + Σc + Σa·Σb − Σab; one
-    disconnected block x counts a_x + b_x + c_x + a_x·Σb + b_x·Σa; two, x and
-    y, count a_x·b_y + a_y·b_x; three or more count nothing.
+    The walk covers positions 0..n-4.  Position o = n - 3 is placed in each
+    block of a walked partition and alone, and every placement of p = n - 2
+    and q = n - 1 is scored at once.  For a block B let a = conn[B|p],
+    b = conn[B|q] and c = conn[B|p|q], summed (Σ) over the connected blocks.
+    A partition of 0..o with no disconnected block counts 1 + conn[p|q] + Σa +
+    Σb + Σc + Σa·Σb − Σab; one disconnected block x counts a_x + b_x + c_x +
+    a_x·Σb + b_x·Σa; two, x and y, count a_x·b_y + a_y·b_x; three or more
+    count nothing.  Placements with equal packed sums are scored once.
     """
-    if n < 2:
-        return 1  # the empty partition; the singleton {0}
+    if n < 3:
+        return 1 + (n == 2 and conn[3])  # the empty partition; {0}; {0}|{1} and {0, 1}
     # One sum over a partition's blocks adds all these terms at once, packed in
     # 8-bit fields: a connected block adds a + b + c − ab, a and b at bits 0, 8
     # and 16; a disconnected one adds a + b + c, a, b, ab and 1 at bits 24, 32,
     # 40, 48 and 56.  The table stops at 20 vertices, so no field reaches 256.
-    kinds = []
-    for key in range(16):
-        whole, a, b, c = key & 1, key >> 1 & 1, key >> 2 & 1, key >> 3
-        kinds.append(
-            a + b + c - a * b | a << 8 | b << 16 if whole
-            else (a + b + c) << 24 | a << 32 | b << 40 | a * b << 48 | 1 << 56
-        )
     p = 1 << (n - 2)
     weights = [
-        kinds[whole | a << 1 | b << 2 | c << 3]
-        for whole, a, b, c in zip(conn[:p], conn[p:2 * p], conn[2 * p:3 * p], conn[3 * p:])
+        a + b + c - a * b | a << 8 | b << 16 if whole
+        else (a + b + c) << 24 | a << 32 | b << 40 | a * b << 48 | 1 << 56
+        for whole, a, b, c in zip(conn, conn[p:], conn[2 * p:], conn[3 * p:])
     ]
     weights[0] = 0  # the walker's empty slots
     weigh = weights.__getitem__
-    alone = 1 + conn[3 * p]
+    # Joining o to block B (o alone: B = 0) moves the sum by shift[B].
+    shift = list(map(int.__sub__, weights[p >> 1:], weights)).__getitem__
+    sums = Counter()
+    for _, blocks in _block_stream(n - 3):
+        base = sum(map(weigh, blocks))
+        sums.update(map(base.__add__, map(shift, blocks[:blocks.index(0) + 1])))
     count = 0
-    for _, blocks in _block_stream(n - 2):
-        s = sum(map(weigh, blocks))
-        broken = s >> 56
-        if broken > 2:
-            continue
+    for s, times in sums.items():
         sum_a, sum_b = s >> 8 & 255, s >> 16 & 255
-        if not broken:
-            count += alone + (s & 255) + sum_a * sum_b
-        elif broken == 1:
-            count += (s >> 24 & 255) + (s >> 32 & 255) * sum_b + (s >> 40 & 255) * sum_a
-        else:
-            count += (s >> 32 & 255) * (s >> 40 & 255) - (s >> 48 & 255)
+        if s < 3 << 56:  # at most two disconnected blocks
+            count += times * (
+                1 + conn[3 * p] + (s & 255) + sum_a * sum_b,
+                (s >> 24 & 255) + (s >> 32 & 255) * sum_b + (s >> 40 & 255) * sum_a,
+                (s >> 32 & 255) * (s >> 40 & 255) - (s >> 48 & 255),
+            )[s >> 56]
     return count
 
 

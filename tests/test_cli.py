@@ -725,13 +725,14 @@ def test_brute_statistics_walk_each_row_once(monkeypatch, capsys, argv):
     assert sorted(walks) == [0, 1, 2, 3, 4]
 
 
-def test_brute_comp_walks_all_but_the_last_two_positions(monkeypatch, capsys):
-    # One count places the last two of its 9 positions in aggregate, so it
-    # walks the partitions of the first 7, once.
+def test_brute_comp_walks_all_but_the_last_three_positions(monkeypatch, capsys):
+    # One count places the third-last of its 9 positions in each block and
+    # alone, and the last two in aggregate, so it walks the partitions of the
+    # first 6, once.
     walks = _record_walks(monkeypatch)
     code, out, _ = run(capsys, "value", "comp", "-n", "9", "-m", "4", "--method", "brute")
     assert (code, out) == (0, "15177\n")
-    assert walks == [7]
+    assert walks == [6]
 
 
 def test_composition_streams_walk_all_but_the_last_position(monkeypatch, capsys, tmp_path):

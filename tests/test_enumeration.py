@@ -1,8 +1,13 @@
 """Partition streams, composition filtering, and statistic counts by enumeration."""
 
+import os
 import pickle
 import random
+import resource
+import subprocess
+import sys
 from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 from conftest import MINIMAX_EXAMPLE_3, bfs_connected, blocks_of, enumerate_partitions
@@ -15,6 +20,7 @@ from compolab import (
     Partition,
     ResourceLimitError,
     bell,
+    comp_count_explicit,
     complete,
     complete_minus_clique,
     composition_count_brute,
@@ -30,6 +36,7 @@ from compolab import (
     partitions_of,
     set_partitions,
 )
+from compolab import enumeration
 from compolab.enumeration import (
     _block_stream,
     _composition_states,
@@ -37,6 +44,7 @@ from compolab.enumeration import (
     _count_extensions,
     _position_adjacency,
 )
+from compolab.graphs import mask_connected
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +199,56 @@ def test_connectivity_table_matches_is_connected_induced_at_16_vertices():
     assert all(table[mask] == is_connected_induced(g, mask << 1) for mask in range(1, 1 << 16))
 
 
+def test_connectivity_table_matches_mask_connected_on_every_mask():
+    # The table merges whole components mask by mask; a BFS per set over the
+    # graph's own label adjacency is the oracle.  A path through the labels in
+    # scrambled order, and a star centred at the highest position, make the
+    # highest position join many components at once.
+    rng = random.Random(19)
+    graphs = []
+    for n in range(13):
+        labels = list(range(1, n + 1))
+        scrambled = rng.sample(labels, n)
+        graphs += [from_edge_list(n, []), complete(n),
+                   *(complete_minus_clique(n, m) for m in range(n + 1)),
+                   from_edge_list(n, list(zip(labels, labels[1:]))),
+                   from_edge_list(n, list(zip(scrambled, scrambled[1:]))),
+                   from_edge_list(n, [(1, v) for v in labels[1:]]),
+                   from_edge_list(n, [(v, n) for v in labels[:-1]])]
+    for i in range(40):
+        n, density = 3 + i % 10, 0.1 + 0.9 * i / 39
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        graphs.append(from_edge_list(n, [pair for pair in pairs if rng.random() < density]))
+    for g in graphs:
+        table = _connectivity_table(_position_adjacency(g))
+        # Position i holds label i + 1; the empty mask reads 0.
+        want = [0] + [mask_connected(mask << 1, g.adj) for mask in range(1, 1 << g.n)]
+        assert list(table) == want, (g.n, sorted(g.edges))
+
+
+def test_connectivity_table_at_20_vertices_counts_the_closed_forms():
+    # Four 2**20-entry tables, built in a child process under a 300 MB
+    # address-space limit, against the number of connected vertex sets: a
+    # path has one per interval, 20 * 21 / 2; the complete graph has every
+    # nonempty set; the edgeless graph only the singletons; a star every set
+    # holding its centre and the 19 other singletons.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+    script = (
+        "from compolab.enumeration import _connectivity_table, _position_adjacency\n"
+        "from compolab.graphs import complete, from_edge_list\n"
+        "graphs = [from_edge_list(20, [(v, v + 1) for v in range(1, 20)]), complete(20),\n"
+        "          from_edge_list(20, []), from_edge_list(20, [(v, 20) for v in range(1, 20)])]\n"
+        "print(*(sum(_connectivity_table(_position_adjacency(g))) for g in graphs))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(enumeration.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, preexec_fn=limit)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert done.stdout.split() == [str(c) for c in (210, 2**20 - 1, 20, 2**19 + 19)]
+
+
 # ---------------------------------------------------------------------------
 # Compositions
 # ---------------------------------------------------------------------------
@@ -227,6 +285,13 @@ def test_composition_count_against_reference_table():
     for n, row in COMP_TABLE.items():
         for m, expected in enumerate(row):
             assert composition_count_brute(complete_minus_clique(n, m)) == expected
+
+
+def test_brute_comp_matches_the_explicit_sum_up_to_the_cap():
+    for n in range(13):
+        for m in range(n + 1):
+            got = composition_count_brute(complete_minus_clique(n, m))
+            assert got == comp_count_explicit(n, m), (n, m)
 
 
 def test_complete_graph_count_is_bell():
@@ -337,12 +402,13 @@ def test_composition_states_match_a_filter_over_every_partition():
     assert all(classes), classes
 
 
-def test_count_extensions_matches_the_leaf_count_of_every_prefix():
-    # The counter walks the partitions of all positions but the last two and
-    # places those two in aggregate, by how many blocks of the walked
-    # partition are disconnected: 0, 1, 2, or 3 and more.  Counting the
-    # leaves one by one must agree, at every n including 0, 1 and 2, and
-    # every class of walked partition must occur.
+def test_count_extensions_matches_a_leaf_by_leaf_count():
+    # The counter walks the partitions of all positions but the last three,
+    # places position n - 3 in each block and alone, and scores the last two
+    # in aggregate by how many blocks of that placed partition are
+    # disconnected: 0, 1, 2, or 3 and more.  Counting the leaves one by one
+    # must agree, at every n including 0, 1, 2 and 3 (a walk over the one
+    # empty partition), and every class of placed partition must occur.
     def leaf_count(n, conn):
         return sum(all(conn[mask] for mask in blocks if mask) for _, blocks in _block_stream(n))
 
@@ -351,20 +417,25 @@ def test_count_extensions_matches_the_leaf_count_of_every_prefix():
         return from_edge_list(n, [pair for pair in pairs if rng.random() < density])
 
     rng = random.Random(23)
-    graphs = [from_edge_list(n, []) for n in (0, 1, 2, 5, 8)]
+    graphs = [from_edge_list(n, []) for n in (0, 1, 2, 3, 5, 8)]
     graphs += [from_edge_list(n, [(v, v + 1) for v in range(1, n)]) for n in (3, 6, 8)]
+    graphs += [complete(3), from_edge_list(3, [(1, 3)])]
     graphs += [random_graph(rng, rng.randint(0, 8), rng.choice((0.1, 0.2, 0.4, 0.7)))
                for _ in range(24)]
     classes = [0] * 4
     for g in graphs:
         n = g.n
         conn = _connectivity_table(_position_adjacency(g))
-        if n >= 2:
-            for _, blocks in _block_stream(n - 2):
-                classes[min(sum(not conn[mask] for mask in blocks if mask), 3)] += 1
+        if n >= 3:
+            for _, blocks in _block_stream(n - 3):
+                k = blocks.index(0)
+                for r in range(k + 1):
+                    placed = blocks[:k + 1]
+                    placed[r] |= 1 << (n - 3)
+                    classes[min(sum(not conn[mask] for mask in placed if mask), 3)] += 1
         assert _count_extensions(n, conn) == leaf_count(n, conn), (n, g.edges)
     assert all(classes), classes
-    for n, density in ((9, 0.1), (9, 0.4), (10, 0.3)):
+    for n, density in ((9, 0.1), (9, 0.4), (10, 0.3), (11, 0.3)):
         g = random_graph(rng, n, density)
         conn = _connectivity_table(_position_adjacency(g))
         assert _count_extensions(n, conn) == leaf_count(n, conn), (n, g.edges)
