@@ -50,6 +50,7 @@ _EXPORTS = {
         "mask_labels",
         "parse_graph_file",
     ),
+    "listing": (),
     "numtheory": ("bell", "binomial", "stirling2", "stirling_row"),
     "partitions": (
         "Composition",
@@ -61,6 +62,7 @@ _EXPORTS = {
         "partitions_of",
         "set_partitions",
     ),
+    "tables": (),
 }
 
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

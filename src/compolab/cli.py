@@ -6,11 +6,11 @@ usage/input error (or a stdout closed early), 3 resource limit exceeded.
 Each command is one fresh process, so start-up counts, and a command loads
 only the code it runs.  This module holds the parser, ``main``, the route
 table and the ``value`` command.  ``table``, ``verify`` and ``bfile`` live in
-``tables`` and ``enumerate`` in ``listing``, imported when they run.  The
-routes reach ``closedform``, ``numtheory``, ``enumeration`` and ``graphs``
-through placeholders that import the module at the first attribute read and
-then give way to it, so a module is resolved once per process, not once per
-cell.  ``json`` loads only for JSON output.
+``tables`` and ``enumerate`` in ``listing``.  Every route and command reads
+``compolab.<module>.<name>`` when it runs: the package's PEP 562 hook imports
+the module on the first read, and the import binds it on the package, so
+each later read is a plain attribute lookup.  ``json`` loads only for JSON
+output.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import argparse
 import os
 import sys
 from collections.abc import Callable
+
+import compolab
 
 from .errors import (
     BRUTE_FORCE_CAP,
@@ -35,29 +37,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-class _Deferred:
-    """Stands in for the submodule ``compolab.<name>`` in this namespace until
-    an attribute of it is read: the read imports the module and puts it in
-    the placeholder's place, so later lookups cost what an eager import's do."""
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __getattr__(self, attr: str):
-        qualified = f"compolab.{self._name}"
-        __import__(qualified)  # the statement's path, so -X importtime lists it
-        module = globals()[self._name] = sys.modules[qualified]
-        return getattr(module, attr)
-
-
-closedform = _Deferred("closedform")
-enumeration = _Deferred("enumeration")
-graphs = _Deferred("graphs")
-listing = _Deferred("listing")
-numtheory = _Deferred("numtheory")
-tables = _Deferred("tables")
-
-
 # ---------------------------------------------------------------------------
 # routes
 # ---------------------------------------------------------------------------
@@ -68,8 +47,8 @@ Route = Callable[..., int]
 def _comp_brute(a, memo, n, m):
     if 0 <= m <= n:  # the graph builder refuses the other cells
         check_cap(n, a.max_brute_n)  # before the graph lists its n²/2 pairs
-    return enumeration.composition_count_brute(
-        graphs.complete_minus_clique(n, m), cap=a.max_brute_n
+    return compolab.enumeration.composition_count_brute(
+        compolab.graphs.complete_minus_clique(n, m), cap=a.max_brute_n
     )
 
 
@@ -79,36 +58,44 @@ def _comp_brute(a, memo, n, m):
 # a table or a suite shares, or None for one value.
 ROUTES: dict[str, tuple[tuple[str, ...], dict[str, Route]]] = {
     "comp": (("n", "m"), {
-        "recursive": lambda a, memo, n, m: closedform.comp_count_recursive(n, m, memo=memo),
-        "explicit": lambda a, memo, n, m: closedform.comp_count_explicit(n, m, memo=memo),
+        "recursive": lambda a, memo, n, m: compolab.closedform.comp_count_recursive(
+            n, m, memo=memo
+        ),
+        "explicit": lambda a, memo, n, m: compolab.closedform.comp_count_explicit(n, m, memo=memo),
         "brute": _comp_brute,
-        "paper-literal": lambda a, memo, n, m: closedform.comp_count_paper_literal(
+        "paper-literal": lambda a, memo, n, m: compolab.closedform.comp_count_paper_literal(
             n, m, memo=memo
         ),
     }),
     "minimax": (("n", "m"), {
-        "formula": lambda a, memo, n, m: closedform.minimax_count_formula(n, m, memo=memo),
-        "brute": lambda a, memo, n, m: enumeration.minimax_count_brute(
+        "formula": lambda a, memo, n, m: compolab.closedform.minimax_count_formula(
+            n, m, memo=memo
+        ),
+        "brute": lambda a, memo, n, m: compolab.enumeration.minimax_count_brute(
             n, m, cap=a.max_brute_n
         ),
     }),
     "maximin": (("n", "m"), {
-        "formula": lambda a, memo, n, m: closedform.maximin_count_formula(n, m, memo=memo),
+        "formula": lambda a, memo, n, m: compolab.closedform.maximin_count_formula(
+            n, m, memo=memo
+        ),
     }),
     "k1": (("n", "m"), {
-        "formula": lambda a, memo, n, m: closedform.k1_count_formula(n, m, memo=memo),
-        "brute": lambda a, memo, n, m: enumeration.kj_count_brute(
+        "formula": lambda a, memo, n, m: compolab.closedform.k1_count_formula(n, m, memo=memo),
+        "brute": lambda a, memo, n, m: compolab.enumeration.kj_count_brute(
             n, m, 1, cap=a.max_brute_n
         ),
     }),
     "kj": (("n", "m", "j"), {
-        "brute": lambda a, memo, n, m, j: enumeration.kj_count_brute(
+        "brute": lambda a, memo, n, m, j: compolab.enumeration.kj_count_brute(
             n, m, j, cap=a.max_brute_n
         ),
     }),
-    "bell": (("n",), {"formula": lambda a, memo, n: numtheory.bell(n)}),
-    "stirling2": (("n", "m"), {"formula": lambda a, memo, n, m: numtheory.stirling2(n, m)}),
-    "binomial": (("n", "m"), {"formula": lambda a, memo, n, m: numtheory.binomial(n, m)}),
+    "bell": (("n",), {"formula": lambda a, memo, n: compolab.numtheory.bell(n)}),
+    "stirling2": (("n", "m"), {
+        "formula": lambda a, memo, n, m: compolab.numtheory.stirling2(n, m),
+    }),
+    "binomial": (("n", "m"), {"formula": lambda a, memo, n, m: compolab.numtheory.binomial(n, m)}),
 }
 
 _DEFAULT_METHOD = {"comp": "explicit"}
@@ -242,24 +229,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     _add_method(p_table, _TABLE_FIRST_ROW)
     _add_brute(p_table)
-    p_table.set_defaults(func=lambda args: tables.cmd_table(args))
+    p_table.set_defaults(func=lambda args: compolab.tables.cmd_table(args))
 
     p_verify = sub.add_parser("verify", help="run a cross-validation suite")
     p_verify.add_argument("suite", choices=_SUITE_NAMES)
     p_verify.add_argument("--n-max", type=int, required=True)
     _add_brute(p_verify)
-    p_verify.set_defaults(func=lambda args: tables.cmd_verify(args))
+    p_verify.set_defaults(func=lambda args: compolab.tables.cmd_verify(args))
 
     p_enum = sub.add_parser("enumerate", help="stream the compositions of a graph file")
     p_enum.add_argument("graph_file")
     _add_brute(p_enum, workers=False)
-    p_enum.set_defaults(func=lambda args: listing.cmd_enumerate(args))
+    p_enum.set_defaults(func=lambda args: compolab.listing.cmd_enumerate(args))
 
     p_bfile = sub.add_parser("bfile", help="emit an integer sequence as b-file lines")
     p_bfile.add_argument("kind", choices=("rowsum", "k1zero"))
     p_bfile.add_argument("--range", required=True, metavar="A..B")
     p_bfile.add_argument("--compare", metavar="FILE", default=None, help="diff against a local reference b-file")
-    p_bfile.set_defaults(func=lambda args: tables.cmd_bfile(args))
+    p_bfile.set_defaults(func=lambda args: compolab.tables.cmd_bfile(args))
 
     return parser
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
+from itertools import chain
 
 from . import _EXPORTS
 from .errors import BRUTE_FORCE_CAP, InvalidParametersError, ResourceLimitError, check_cap
@@ -229,10 +230,13 @@ def _count_extensions(n: int, conn: Sequence[int]) -> int:
     weigh = weights.__getitem__
     # Joining o to block B (o alone: B = 0) moves the sum by shift[B].
     shift = list(map(int.__sub__, weights[p >> 1:], weights)).__getitem__
-    sums = Counter()
-    for _, blocks in _block_stream(n - 3):
-        base = sum(map(weigh, blocks))
-        sums.update(map(base.__add__, map(shift, blocks[:blocks.index(0) + 1])))
+    # The walker changes ``blocks`` in place, but each map below is built with
+    # its own base and its own slice of the blocks, and ``chain`` pulls the next
+    # partition only once the previous map is used up.
+    sums = Counter(chain.from_iterable(
+        map(sum(map(weigh, blocks)).__add__, map(shift, blocks[:blocks.index(0) + 1]))
+        for _, blocks in _block_stream(n - 3)
+    ))
     count = 0
     for s, times in sums.items():
         sum_a, sum_b = s >> 8 & 255, s >> 16 & 255

@@ -180,14 +180,7 @@ def _composition_stream(g: LabelledGraph, states: Iterator[_State]) -> Iterator[
 
 def minimax_vertex(p: Partition) -> int | None:
     """Smallest among the per-block maximum labels; None for the empty partition."""
-    if p.n == 0:
-        return None
-    best: int | None = None
-    for block in p.blocks():
-        top = block[-1]
-        if best is None or top < best:
-            best = top
-    return best
+    return minimax_restricted(p, p.n) if p.n else None
 
 
 def minimax_restricted(p: Partition, j: int) -> int | None:

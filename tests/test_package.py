@@ -1,10 +1,11 @@
-"""The package surface: lazily resolved public names, and the modules each
-kind of command loads at start-up."""
+"""The package surface: lazily resolved public names, the modules each kind
+of command loads at start-up, and the compile cost of the brute-force module."""
 
 import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,30 @@ def test_commands_import_only_the_modules_they_run(tmp_path):
     for argv, printed, modules in expected:
         assert _loaded(*argv) == (printed, modules), argv
 
+    # The commands that compute many cells live in `tables`, and every cell
+    # reads its closed form; each row gives the last line printed.
+    cells = {"tables", "closedform", "numtheory"}
+    expected = [
+        (("table", "comp", "--max-n", "5"), "  5 |  52  52  47  35  16   1", set()),
+        (("verify", "rowsum", "--n-max", "3"), "rowsum: 4/4 identities hold", set()),
+        (("bfile", "rowsum", "--range", "0..3"), "3 15", set()),
+        (("table", "k1", "--max-n", "5", *brute), "  5 |  11  15  10   7   5   4",
+         {"enumeration"}),
+        (("verify", "k1", "--n-max", "3"), "k1: 9/9 identities hold", {"enumeration"}),
+        (("verify", "reflection", "--n-max", "3"), "reflection: 6/6 identities hold",
+         {"enumeration"}),
+        (("table", "comp", "--max-n", "5", *brute), "  5 |  52  52  47  35  16   1",
+         {"enumeration", "graphs"}),
+        (("verify", "threeway", "--n-max", "3"), "threeway: 10/10 identities hold",
+         {"enumeration", "graphs"}),
+        # bijection's NamedTuple brings in typing.
+        (("verify", "bijection", "--n-max", "3"), "bijection: 10/10 identities hold",
+         {"enumeration", "graphs", "bijection", "typing"}),
+    ]
+    for argv, last, modules in expected:
+        printed, loaded = _loaded(*argv)
+        assert (printed[-1], loaded) == (last, cells | modules), argv
+
 
 # A text-format value and an enumeration, in a fresh process without site.
 _TEXT_ONLY = """
@@ -104,3 +129,20 @@ def test_text_output_leaves_json_unloaded(tmp_path):
                           env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines() == ["52", "{1,2,3}", "{1,2}|{3}", "{1,3}|{2}",
                                         "{1}|{2,3}", "{1}|{2}|{3}", "False"]
+
+
+def test_enumeration_compiles_below_the_token_step():
+    # An `enumerate` job run with PYTHONDONTWRITEBYTECODE=1 compiles
+    # enumeration.py afresh, and that compile sets the job's peak RSS.  CPython
+    # 3.11's compile() allocates about 110-120 KiB more once a module passes
+    # 2,048 parser tokens, more than the benchmark's 0.1 MB bound on peak_rss_mb.
+    # Tokens are counted without comments, blank lines and line breaks inside
+    # brackets.
+    path = Path(compolab.__file__).with_name("enumeration.py")
+    with tokenize.open(path) as source:
+        count = sum(token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+                    for token in tokenize.generate_tokens(source.readline))
+    assert count <= 2048, (
+        f"enumeration.py has {count} tokens, past the 2,048 at which compiling it "
+        "costs about 0.11 MB more, and every enumerate job compiles it"
+    )
