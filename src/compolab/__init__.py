@@ -63,6 +63,7 @@ _EXPORTS = {
         "set_partitions",
     ),
     "tables": (),
+    "usage": (),
 }
 
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

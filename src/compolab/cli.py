@@ -1,21 +1,26 @@
 """Command-line surface: values, tables, verification suites, enumeration, b-files.
 
 Exit codes are a stable contract: 0 success, 1 verification failure, 2
-usage/input error (or a stdout closed early), 3 resource limit exceeded.
+usage/input error (or a stdout closed early), 3 resource limit exceeded or
+out of memory.
 
 Each command is one fresh process, so start-up counts, and a command loads
-only the code it runs.  This module holds the parser, ``main``, the route
-table and the ``value`` command.  ``table``, ``verify`` and ``bfile`` live in
-``tables`` and ``enumerate`` in ``listing``.  Every route and command reads
-``compolab.<module>.<name>`` when it runs: the package's PEP 562 hook imports
-the module on the first read, and the import binds it on the package, so
-each later read is a plain attribute lookup.  ``json`` loads only for JSON
-output.
+only the code it runs.  This module holds the command grammar (``COMMANDS``)
+and its parser, ``main``, the route table and the ``value`` command.
+``table``, ``verify`` and ``bfile`` live in ``tables`` and ``enumerate`` in
+``listing``.  Every route and command reads ``compolab.<module>.<name>`` when
+it runs: the package's PEP 562 hook imports the module on the first read, and
+the import binds it on the package, so each later read is a plain attribute
+lookup.  ``json`` loads only for JSON output.
+
+A well-formed command line is parsed here, against ``COMMANDS``, into the
+namespace argparse would build.  Help, usage errors and the forms ``_parse``
+declines go to ``usage``, which builds argparse's parser from the same
+table; so only they import ``argparse`` and ``gettext``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Callable
@@ -107,11 +112,7 @@ _TABLE_FIRST_ROW = {"comp": 0, "k1": 1}
 _SUITE_NAMES = ("bijection", "k1", "reflection", "rowsum", "threeway")
 
 
-def _method_choices(kinds) -> list[str]:
-    return sorted({method for kind in kinds for method in ROUTES[kind][1]})
-
-
-def _select_route(args: argparse.Namespace) -> tuple[str, tuple[str, ...], Route]:
+def _select_route(args: Args) -> tuple[str, tuple[str, ...], Route]:
     """The method, required parameters and route that ``args`` ask for."""
     params, routes = ROUTES[args.kind]
     method = args.method or _DEFAULT_METHOD.get(args.kind) or next(iter(routes))
@@ -126,7 +127,7 @@ def _select_route(args: argparse.Namespace) -> tuple[str, tuple[str, ...], Route
 # value
 # ---------------------------------------------------------------------------
 
-def _require(args: argparse.Namespace, *names: str) -> list[int]:
+def _require(args: Args, *names: str) -> list[int]:
     got = []
     for name in names:
         value = getattr(args, name)
@@ -136,7 +137,7 @@ def _require(args: argparse.Namespace, *names: str) -> list[int]:
     return got
 
 
-def cmd_value(args: argparse.Namespace) -> int:
+def cmd_value(args: Args) -> int:
     method, params, route = _select_route(args)
     values = _require(args, *params)
     value = str(route(args, None, *values))
@@ -159,113 +160,109 @@ def _read_text(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command lines
 # ---------------------------------------------------------------------------
 
-def _add_method(parser: argparse.ArgumentParser, kinds) -> None:
-    route = parser.add_mutually_exclusive_group()
-    route.add_argument("--method", choices=_method_choices(kinds), default=None)
-    route.add_argument(
-        "--paper-literal", dest="method", action="store_const", const="paper-literal",
-        help="shorthand for --method paper-literal: the literal printed form of the "
-        "explicit formula (documents a known erratum)",
-    )
+# A parsed command line, each argparse destination an attribute: this is
+# types.SimpleNamespace, got without importing `types` (0.6 ms).
+Args = type(sys.implementation)
 
 
-class _StoreCount(argparse.Action):
-    """Store an int option's value, refusing one below 0 as a usage error."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        if value < 0:
-            raise argparse.ArgumentError(self, f"must be 0 or more, got {value}")
-        setattr(namespace, self.dest, value)
+def _arg(*names: str, **spec):
+    """One argument of a command: the names and keywords of its ``add_argument`` call."""
+    return names, spec
 
 
-def _add_brute(parser: argparse.ArgumentParser, *, workers: bool = True) -> None:
-    parser.add_argument(
-        "--max-brute-n",
-        type=int,
-        action=_StoreCount,
-        default=BRUTE_FORCE_CAP,
-        metavar="N",
-        help="override the brute-force enumeration cap (default %d)" % BRUTE_FORCE_CAP,
-    )
-    if workers:
-        parser.add_argument(
-            "--workers",
-            type=int,
-            choices=range(1, (os.cpu_count() or 1) + 1),
-            default=1,
-            metavar="W",
-            help="accepted for compatibility, at most the CPU count; brute-force "
-            "counting always runs in one process",
-        )
+def _method_options(kinds):
+    methods = sorted({method for kind in kinds for method in ROUTES[kind][1]})
+    return [_arg("--method", choices=methods),
+            _arg("--paper-literal", dest="method", action="store_const", const="paper-literal")]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="compolab",
-        description=(
-            "Exact counting and enumeration of graph compositions for the "
-            "complete-minus-clique family, and minimax statistics of set partitions."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_BRUTE = [_arg("--max-brute-n", type=int, default=BRUTE_FORCE_CAP),
+          _arg("--workers", type=int, choices=range(1, (os.cpu_count() or 1) + 1), default=1)]
 
-    p_value = sub.add_parser("value", help="compute one count")
-    p_value.add_argument("kind", choices=sorted(ROUTES))
-    p_value.add_argument("-n", type=int, required=True)
-    p_value.add_argument("-m", "--m", "--k", dest="m", type=int, default=None)
-    p_value.add_argument("-j", type=int, default=None)
-    _add_method(p_value, ROUTES)
-    p_value.add_argument("--format", choices=("text", "json"), default="text")
-    _add_brute(p_value)
-    p_value.set_defaults(func=cmd_value)
-
+# command -> (function, arguments): the grammar that `_parse` reads and that
+# ``usage.build_parser`` hands to argparse, adding the help text.
+COMMANDS = {
+    "value": (cmd_value, [
+        _arg("kind", choices=sorted(ROUTES)),
+        _arg("-n", type=int, required=True),
+        _arg("-m", "--m", "--k", type=int),
+        _arg("-j", type=int),
+        *_method_options(ROUTES),
+        _arg("--format", choices=("text", "json"), default="text"),
+        *_BRUTE,
+    ]),
     # The other commands' code lives in `tables` and `listing`, loaded as they run.
-    p_table = sub.add_parser("table", help="render a lower-triangular value table")
-    p_table.add_argument("kind", choices=sorted(_TABLE_FIRST_ROW))
-    p_table.add_argument("--max-n", type=int, required=True)
-    p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    _add_method(p_table, _TABLE_FIRST_ROW)
-    _add_brute(p_table)
-    p_table.set_defaults(func=lambda args: compolab.tables.cmd_table(args))
-
-    p_verify = sub.add_parser("verify", help="run a cross-validation suite")
-    p_verify.add_argument("suite", choices=_SUITE_NAMES)
-    p_verify.add_argument("--n-max", type=int, required=True)
-    _add_brute(p_verify)
-    p_verify.set_defaults(func=lambda args: compolab.tables.cmd_verify(args))
-
-    p_enum = sub.add_parser("enumerate", help="stream the compositions of a graph file")
-    p_enum.add_argument("graph_file")
-    _add_brute(p_enum, workers=False)
-    p_enum.set_defaults(func=lambda args: compolab.listing.cmd_enumerate(args))
-
-    p_bfile = sub.add_parser("bfile", help="emit an integer sequence as b-file lines")
-    p_bfile.add_argument("kind", choices=("rowsum", "k1zero"))
-    p_bfile.add_argument("--range", required=True, metavar="A..B")
-    p_bfile.add_argument("--compare", metavar="FILE", default=None, help="diff against a local reference b-file")
-    p_bfile.set_defaults(func=lambda args: compolab.tables.cmd_bfile(args))
-
-    return parser
+    "table": (lambda args: compolab.tables.cmd_table(args), [
+        _arg("kind", choices=sorted(_TABLE_FIRST_ROW)),
+        _arg("--max-n", type=int, required=True),
+        _arg("--format", choices=("text", "csv", "json"), default="text"),
+        *_method_options(_TABLE_FIRST_ROW),
+        *_BRUTE,
+    ]),
+    "verify": (lambda args: compolab.tables.cmd_verify(args), [
+        _arg("suite", choices=_SUITE_NAMES),
+        _arg("--n-max", type=int, required=True),
+        *_BRUTE,
+    ]),
+    "enumerate": (lambda args: compolab.listing.cmd_enumerate(args), [
+        _arg("graph_file"),
+        _BRUTE[0],
+    ]),
+    "bfile": (lambda args: compolab.tables.cmd_bfile(args), [
+        _arg("kind", choices=("rowsum", "k1zero")),
+        _arg("--range", required=True),
+        _arg("--compare"),
+    ]),
+}
 
 
-def _bind_range_value(argv: list[str]) -> list[str]:
-    """Write ``--range -3..2`` as ``--range=-3..2``: argparse would read a
-    value that starts with a dash and a digit as an option of its own."""
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] == "--range" and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] = f"--range={arg}"
+def _parse(argv: list[str]) -> Args | None:
+    """What argparse makes of ``argv``, or None where only argparse reads it:
+    help, a usage error, an option not spelt in full, ``--opt=value`` or
+    ``-n5``, a value that is blank or starts with "-", a repeated option
+    (``--method`` with ``--paper-literal`` too), and a negative number."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, arguments = COMMANDS[argv[0]]
+    values, flags, positionals, given = {"command": argv[0]}, {}, [], {}
+    for names, spec in arguments:
+        dest = spec.get("dest", names[0].strip("-").replace("-", "_"))
+        values[dest] = spec.get("default")
+        if names[0][0] == "-":
+            flags.update(dict.fromkeys(names, (dest, spec)))
         else:
-            out.append(arg)
-    return out
+            positionals.append((dest, spec))
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-" and positionals:
+            (dest, spec), text = positionals.pop(0), word
+        elif word in flags:
+            dest, spec = flags[word]
+            text = spec.get("const") or next(words, "")
+        else:
+            return None
+        # Blank, or starting with "-" once int() strips it (" -5" is negative).
+        if dest in given or text.lstrip()[:1] in ("", "-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in spec.get("choices", [value]):
+            return None
+        given[dest] = value
+    if positionals or any(spec.get("required") and dest not in given
+                          for dest, spec in flags.values()):
+        return None
+    return Args(**(values | given), func=func)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_bind_range_value(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv) or compolab.usage.parse_args(argv)
     # Exact values can exceed Python's int -> str digit limit (3.11+, and
     # some 3.10 patch releases); lift it while the command runs.
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -280,6 +277,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except InconsistentResultError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,13 +7,12 @@ is built and the object layer (``partitions``) is never loaded.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections.abc import Iterator
 from itertools import islice
 
 from . import enumeration, graphs
-from .cli import EXIT_OK, _read_text
+from .cli import EXIT_OK, Args, _read_text
 
 
 class _BlockText(dict):
@@ -42,7 +41,7 @@ def _composition_lines(g, cap: int | None = None) -> Iterator[str]:
 _LINES_PER_WRITE = 4096
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: Args) -> int:
     g = graphs.parse_graph_file(_read_text(args.graph_file))
     lines = _composition_lines(g, args.max_brute_n)
     while chunk := list(islice(lines, _LINES_PER_WRITE)):

@@ -9,7 +9,6 @@ a module's functions sees every call.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections.abc import Callable, Iterator
 
@@ -19,6 +18,7 @@ from .cli import (
     EXIT_VERIFY_FAILED,
     ROUTES,
     _TABLE_FIRST_ROW,
+    Args,
     Route,
     _read_text,
     _select_route,
@@ -31,7 +31,7 @@ from .errors import InvalidParametersError, MalformedInputError, ResourceLimitEr
 # table
 # ---------------------------------------------------------------------------
 
-def _table_rows(args: argparse.Namespace, first: int, route: Route) -> Iterator[list[str]]:
+def _table_rows(args: Args, first: int, route: Route) -> Iterator[list[str]]:
     """Rows ``first..--max-n`` of the table in order, each cell as a decimal
     string.  Each row steps every diagonal's weight vector in the shared store
     by one exponent, so an explicit sum builds each vector once."""
@@ -78,7 +78,7 @@ def _check_graphs(n_max: int) -> None:
     _check_table_size(min(n_max, _TABLE_MAX_N + 1))
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: Args) -> int:
     first = _TABLE_FIRST_ROW[args.kind]
     if args.max_n < first:
         raise InvalidParametersError(
@@ -177,7 +177,7 @@ _SUITES: dict[str, Callable] = {
 _SUITE_BRUTE_OFFSET = {"threeway": 0, "bijection": 1, "k1": 0, "reflection": 0}
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: Args) -> int:
     offset = _SUITE_BRUTE_OFFSET.get(args.suite)
     if offset is not None and args.n_max + offset > args.max_brute_n:
         raise ResourceLimitError(
@@ -233,7 +233,7 @@ def parse_bfile(text: str) -> dict[int, int]:
     return out
 
 
-def cmd_bfile(args: argparse.Namespace) -> int:
+def cmd_bfile(args: Args) -> int:
     start, end = _parse_range(args.range)
     reference = None if args.compare is None else parse_bfile(_read_text(args.compare))
     store = MemoStore()

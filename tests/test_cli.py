@@ -111,10 +111,10 @@ def test_value_resource_limit_exit_3(capsys):
 
 def test_huge_sizes_are_refused_before_allocating(tmp_path):
     # Each run is a child process under a 300 MB address-space limit, so a
-    # size checked only after its graph is built fails here (MemoryError, or
-    # the timeout) instead of exhausting the host.  The brute comp count
+    # size checked only after its graph is built fails here (out of memory,
+    # or the timeout) instead of exhausting the host.  The brute comp count
     # refuses by its cap (exit 3); a graph file's vertex count is refused by
-    # name (exit 2).
+    # name (exit 2).  A file that never ends runs out of memory (exit 3).
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
 
@@ -127,7 +127,10 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
              (brute + ["3000"], 3, "3000 vertices exceeds the brute-force cap"),
              (brute + ["100000"], 3, "100000 vertices exceeds the brute-force cap"),
              (["enumerate", str(huge)], 2, "n = 1000000000 is above"),
-             (["enumerate", str(wide)], 2, "n = 65 is above")]
+             (["enumerate", str(wide)], 2, "n = 65 is above"),
+             (["enumerate", "/dev/zero"], 3, "error: out of memory"),
+             (["bfile", "rowsum", "--range", "0..1", "--compare", "/dev/zero"], 3,
+              "error: out of memory")]
     for kind, cell in (("minimax", ["-m", "1"]), ("kj", ["-m", "0", "-j", "2"]),
                        ("k1", ["-m", "0"])):
         cases.append((["value", kind, *cell, "--method", "brute", "-n", str(10**9)], 3,
@@ -168,6 +171,23 @@ def test_negative_brute_cap_is_a_usage_error(capsys):
     brute = ["value", "comp", "-m", "0", "--method", "brute", "--max-brute-n", "0", "-n"]
     assert run(capsys, *brute, "0") == (0, "1\n", "")
     assert run(capsys, *brute, "1")[0] == 3
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the recorded text is Python 3.11's argparse rendering")
+def test_help_and_usage_errors_print_the_recorded_text(monkeypatch, capsys):
+    # cli_usage.json holds stdout, stderr and the exit code of `compolab -h`,
+    # each `<command> -h` and five usage errors; COLUMNS fixes the width
+    # argparse wraps to.
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = json.loads(Path(__file__).with_name("cli_usage.json").read_text())
+    assert len(cases) == 11
+    for case in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(case["argv"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out, err) == (case["code"], case["stdout"], case["stderr"]), (
+            case["argv"])
 
 
 def test_value_output_is_exact_decimal(capsys):

@@ -1,12 +1,16 @@
 """Seeded CLI fuzz: every argv shape ends in exit 0-3, with no traceback, and
-with nothing on stdout when the exit code reports an error."""
+with nothing on stdout when the exit code reports an error; and the direct
+parse of a command line agrees with argparse wherever it does not decline."""
 
+import os
 import random
 
 import pytest
 
+from compolab import cli
 from compolab.cli import ROUTES, main
 from compolab.tables import _SUITES
+from compolab.usage import _bind_range_value, build_parser
 
 KINDS = sorted(ROUTES) + ["nope"]
 METHODS = sorted({method for _, routes in ROUTES.values() for method in routes}) + ["nope"]
@@ -123,3 +127,76 @@ def test_cli_fuzz_exit_contract(files, capsys):
     # Every subcommand ran, and every exit code showed up.
     assert {command for command, _ in seen} >= {"value", "table", "verify", "enumerate", "bfile"}
     assert {code for _, code in seen} == {0, 1, 2, 3}
+
+
+# One argv of each benchmark job's shape; `_parse` must take every one.
+_BENCHMARK_SHAPES = [
+    "value comp -n 11 -m 5 --method brute",
+    f"value comp -n 11 -m 5 --method brute --workers {min(2, os.cpu_count() or 1)}",
+    "value minimax -n 10 -m 4 --method brute",
+    "value kj -n 10 -m 3 -j 2",
+    "verify threeway --n-max 9",
+    "verify bijection --n-max 6",
+    "verify reflection --n-max 6",
+    "table comp --max-n 60 --format csv",
+    "value comp -n 80 -m 40",
+    "table comp --max-n 150 --method explicit --format csv",
+    "bfile k1zero --range 1..150",
+    "value bell -n 1000",
+    "value binomial -n 20000 -m 10000",
+]
+
+# Forms that `_parse` leaves to argparse, each one edit of `value comp -n 5`.
+_DECLINED = [
+    ["value", "comp", "-n", "5", "-h"],
+    ["value", "comp", "--n", "5"],
+    ["value", "comp", "-n", "5", "--meth", "brute"],
+    ["value", "comp", "-n=5"],
+    ["value", "comp", "-n5"],
+    ["value", "comp", "-n", "-5"],
+    ["value", "comp", "-n", " -5"],
+    ["value", "comp", "-n", ""],
+    ["value", "comp", "-n", "5", "-n", "6"],
+    ["value", "comp", "-n", "5", "-m", "1", "--k", "2"],
+    ["value", "comp", "-n", "5", "--method", "explicit", "--paper-literal"],
+    ["value", "comp", "-n", "x"],
+    ["value", "comp", "-n", "5", "--method", "nope"],
+    ["value", "comp", "-n", "5", "--max-brute-n", "-1"],
+    ["value", "comp", "-n", "5", "--workers", "0"],
+    ["value", "comp", "-n", "5", "--workers", str((os.cpu_count() or 1) + 1)],
+    ["value", "comp"],
+    ["value", "-n", "5"],
+    ["value", "comp", "-n", "5", "comp"],
+    ["value", "comp", "-n", "5", "--", "-m", "1"],
+    ["value", "comp", "-n", "5", "-m"],
+    ["enumerate", "-"],
+    ["-h"],
+    [],
+]
+
+
+def test_direct_parse_agrees_with_argparse(files, capsys):
+    parser = build_parser()
+    argvs = [shape.split() for shape in _BENCHMARK_SHAPES] + _DECLINED
+    for seed in range(20):
+        rng = random.Random(seed)
+        for _ in range(400):
+            argv = _argv(rng, files)
+            # The same words with the positional argument last.
+            argvs += [argv, argv[:1] + argv[2:] + argv[1:2]]
+    taken = 0
+    for argv in argvs:
+        direct = cli._parse(argv)
+        try:
+            expected = vars(parser.parse_args(_bind_range_value(argv)))
+        except SystemExit:  # help or a usage error
+            expected = None
+        if direct is not None:
+            # Functions compare by identity, so `func` is argparse's object too.
+            assert vars(direct) == expected, argv
+            taken += 1
+    capsys.readouterr()
+    assert all(cli._parse(shape.split()) for shape in _BENCHMARK_SHAPES)
+    assert not any(cli._parse(argv) for argv in _DECLINED)
+    # Most well-formed command lines skip argparse.
+    assert taken > len(argvs) // 3, (taken, len(argvs))

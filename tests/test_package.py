@@ -44,13 +44,16 @@ _LOADED = """
 import json, sys
 from compolab.cli import main
 if sys.argv[1:]:
-    main(sys.argv[1:])
+    try:
+        main(sys.argv[1:])
+    except SystemExit:  # help or a usage error
+        pass
 print(json.dumps(sorted(%r & set(sys.modules))))
 """
 
-_HEAVY = {"multiprocessing", "dataclasses", "pathlib", "typing"} | {
+_HEAVY = {"argparse", "gettext", "multiprocessing", "dataclasses", "pathlib", "typing"} | {
     f"compolab.{name}" for name in ("bijection", "closedform", "enumeration", "graphs",
-                                    "listing", "numtheory", "partitions", "tables")
+                                    "listing", "numtheory", "partitions", "tables", "usage")
 }
 
 
@@ -110,6 +113,11 @@ def test_commands_import_only_the_modules_they_run(tmp_path):
         printed, loaded = _loaded(*argv)
         assert (printed[-1], loaded) == (last, cells | modules), argv
 
+    # argparse renders help and usage errors, and only those load it.
+    usage = {"argparse", "gettext", "usage"}
+    assert _loaded("-h")[1] == usage
+    assert _loaded("value", "comp", "-n", "5", "--method", "nope") == ([], usage)
+
 
 # A text-format value and an enumeration, in a fresh process without site.
 _TEXT_ONLY = """
@@ -131,18 +139,19 @@ def test_text_output_leaves_json_unloaded(tmp_path):
                                         "{1}|{2,3}", "{1}|{2}|{3}", "False"]
 
 
-def test_enumeration_compiles_below_the_token_step():
-    # An `enumerate` job run with PYTHONDONTWRITEBYTECODE=1 compiles
-    # enumeration.py afresh, and that compile sets the job's peak RSS.  CPython
-    # 3.11's compile() allocates about 110-120 KiB more once a module passes
-    # 2,048 parser tokens, more than the benchmark's 0.1 MB bound on peak_rss_mb.
-    # Tokens are counted without comments, blank lines and line breaks inside
-    # brackets.
-    path = Path(compolab.__file__).with_name("enumeration.py")
-    with tokenize.open(path) as source:
-        count = sum(token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
-                    for token in tokenize.generate_tokens(source.readline))
-    assert count <= 2048, (
-        f"enumeration.py has {count} tokens, past the 2,048 at which compiling it "
-        "costs about 0.11 MB more, and every enumerate job compiles it"
-    )
+def test_modules_compile_below_the_token_step():
+    # A job run with PYTHONDONTWRITEBYTECODE=1 compiles each module it loads
+    # afresh: every job compiles cli.py, and the compile of enumeration.py
+    # sets an `enumerate` job's peak RSS.  CPython 3.11's compile() allocates
+    # about 110-120 KiB more once a module passes 2,048 parser tokens, more
+    # than the benchmark's 0.1 MB bound on peak_rss_mb.  Tokens are counted
+    # without comments, blank lines and line breaks inside brackets.
+    for module in ("cli", "enumeration"):
+        path = Path(compolab.__file__).with_name(f"{module}.py")
+        with tokenize.open(path) as source:
+            count = sum(token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+                        for token in tokenize.generate_tokens(source.readline))
+        assert count <= 2048, (
+            f"{module}.py has {count} tokens, past the 2,048 at which compiling it "
+            "costs about 0.11 MB more"
+        )
