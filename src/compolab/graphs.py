@@ -22,6 +22,16 @@ MAX_LABEL = 64
 
 VertexSetLike = int | Iterable[int]
 
+# int() takes time quadratic in a token's digits, so the file parser refuses
+# a label or count with more significant digits than MAX_LABEL before
+# reading it, and a message echoes at most _ECHO characters of the input.
+_DIGITS = len(str(MAX_LABEL))
+_ECHO = 40
+
+
+def _cut(text: str) -> str:
+    return text if len(text) <= _ECHO else text[:_ECHO] + "..."
+
 
 def label_mask(labels: Iterable[int]) -> int:
     """Pack labels into a bitset."""
@@ -292,19 +302,29 @@ def parse_graph_file(text: str) -> LabelledGraph:
             try:
                 if len(fields) != 2 or fields[0] != "n" or not fields[1].isdigit():
                     raise ValueError
-                n = int(fields[1])  # isdigit() also passes digits int() rejects, like "²"
+                count = fields[1].lstrip("0")
+                if len(count) <= _DIGITS:
+                    n = int(fields[1])  # isdigit() also passes digits int() rejects, like "²"
+                    continue
             except ValueError:
                 raise MalformedInputError(
-                    f"line {lineno}: expected 'n <count>', got {line!r}"
+                    f"line {lineno}: expected 'n <count>', got {_cut(line)!r}"
                 ) from None
-            continue
+            raise InvalidParametersError(
+                f"n = {_cut(count)} is above the largest supported vertex count, {MAX_LABEL}"
+            )
         if len(fields) != 2:
-            raise MalformedInputError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise MalformedInputError(f"line {lineno}: expected 'u v', got {_cut(line)!r}")
+        for label in fields:
+            if len(label.lstrip("+-").lstrip("0_").replace("_", "")) > _DIGITS:
+                raise MalformedInputError(
+                    f"line {lineno}: label {_cut(label)!r} is not an integer in 1..{MAX_LABEL}"
+                )
         try:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
             raise MalformedInputError(
-                f"line {lineno}: expected integer labels, got {line!r}"
+                f"line {lineno}: expected integer labels, got {_cut(line)!r}"
             ) from None
         pairs.append((u, v))
     if n is None:

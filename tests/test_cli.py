@@ -114,7 +114,9 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
     # size checked only after its graph is built fails here (out of memory,
     # or the timeout) instead of exhausting the host.  The brute comp count
     # refuses by its cap (exit 3); a graph file's vertex count is refused by
-    # name (exit 2).  A file that never ends runs out of memory (exit 3).
+    # name (exit 2).  A file that never ends runs out of memory (exit 3).  A
+    # million-digit count or label is refused before int() reads it (int() is
+    # quadratic in the digits), and every message stays one short line.
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
 
@@ -131,6 +133,14 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
              (["enumerate", "/dev/zero"], 3, "error: out of memory"),
              (["bfile", "rowsum", "--range", "0..1", "--compare", "/dev/zero"], 3,
               "error: out of memory")]
+    digits = "7" * 10**6
+    for i, (text, message) in enumerate([
+            (f"n {digits}\n1 2\n", "n = 777"), (f"n 3\n1 {digits}\n", "line 2: label '777"),
+            (f"n 3\n{digits} 2\n", "line 2: label '777"),
+            (f"n 3\n1 {'0' * 10**6}2\n2 {digits}3\n", "line 3: label '777")]):
+        path = tmp_path / f"digits{i}.graph"
+        path.write_text(text)
+        cases.append((["enumerate", str(path)], 2, message))
     for kind, cell in (("minimax", ["-m", "1"]), ("kj", ["-m", "0", "-j", "2"]),
                        ("k1", ["-m", "0"])):
         cases.append((["value", kind, *cell, "--method", "brute", "-n", str(10**9)], 3,
@@ -152,6 +162,7 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
                               capture_output=True, text=True, timeout=60, preexec_fn=limit)
         assert (done.returncode, done.stdout) == (code, ""), (argv, done.stderr)
         assert done.stderr.count("\n") == 1 and message in done.stderr, argv
+        assert len(done.stderr) < 200, argv
         assert "Traceback" not in done.stderr, argv
 
 

@@ -151,6 +151,16 @@ def test_parse_graph_file():
     assert g == from_edge_list(3, [(1, 2), (2, 3)])
     single = parse_graph_file("n 1\n")
     assert single.labels == (1,)
+    # Leading zeros do not count toward the digits a label may have.
+    assert parse_graph_file("n 0003\n0001 00002\n002 3\n") == g
+    assert parse_graph_file("n 064\n0064 63\n").edge_count == 1
+
+
+def test_parse_graph_file_cuts_what_it_echoes():
+    for text in (f"n 3\n1 2 {'9' * 500}\n", f"n 3\n1 {'9' * 500}\n", f"n {'9' * 500}\n"):
+        with pytest.raises(ValueError) as exc:
+            parse_graph_file(text)
+        assert len(str(exc.value)) < 100, text[:20]
 
 
 @pytest.mark.parametrize(

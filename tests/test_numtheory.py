@@ -19,7 +19,7 @@ from compolab import (
     stirling2,
     stirling_row,
 )
-from compolab.numtheory import bell_numbers
+from compolab.numtheory import _power_sum, bell_numbers
 
 
 def test_binomial_examples():
@@ -46,6 +46,23 @@ def test_stirling_examples():
     assert stirling2(6, 6) == 1
     assert stirling2(5, 0) == 0
     assert stirling2(2, 9) == 0
+    # k = 0 is the base 0 alone: 0^0 = 1 at n = 0, and 0 for every n > 0.
+    for n in range(1, 40):
+        assert stirling2(n, 0) == 0, n
+        assert stirling2(n, n) == 1, n
+        for k in range(n + 1, n + 4):
+            assert stirling2(n, k) == 0, (n, k)
+
+
+def test_power_sum_matches_the_plain_sum():
+    # Lengths 1..64 hold every fold depth: k = 2^a 3^b up to 32 and 27, and
+    # the exponents include 0, where 0^0 = 1.
+    rng = random.Random(2024)
+    for size in range(1, 65):
+        for e in range(81):
+            coeffs = [rng.randint(-10**6, 10**6) for _ in range(size)]
+            plain = sum(c * k**e for k, c in enumerate(coeffs))
+            assert _power_sum(coeffs, e) == plain, (size, e)
 
 
 def test_stirling_against_enumeration_oracle():
@@ -149,6 +166,22 @@ def test_bell_triangle_matches_stirling_row_sums_to_300():
     store = MemoStore()
     for n in range(301):
         assert bell(n) == sum(store.stirling_row(n)), n
+
+
+def test_bell_at_the_benchmark_sizes_matches_the_triangle():
+    # The exact workload's `value bell` job draws n from 996..1004.
+    triangle = bell_numbers(1004)
+    for n in range(996, 1005):
+        assert bell(n) == triangle[n], n
+
+
+def test_bell_satisfies_touchards_congruence():
+    # B(n + p) = B(n) + B(n + 1) (mod p) for every prime p: a check that
+    # shares no code with the Dobinski sum or the Bell triangle.
+    values = [bell(n) for n in range(314)]
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(301):
+            assert (values[n + p] - values[n] - values[n + 1]) % p == 0, (n, p)
 
 
 def test_bell_numbers_prefix():

@@ -141,17 +141,19 @@ def test_text_output_leaves_json_unloaded(tmp_path):
 
 def test_modules_compile_below_the_token_step():
     # A job run with PYTHONDONTWRITEBYTECODE=1 compiles each module it loads
-    # afresh: every job compiles cli.py, and the compile of enumeration.py
-    # sets an `enumerate` job's peak RSS.  CPython 3.11's compile() allocates
-    # about 110-120 KiB more once a module passes 2,048 parser tokens, more
-    # than the benchmark's 0.1 MB bound on peak_rss_mb.  Tokens are counted
-    # without comments, blank lines and line breaks inside brackets.
-    for module in ("cli", "enumeration"):
-        path = Path(compolab.__file__).with_name(f"{module}.py")
+    # afresh: every job compiles cli.py, and the compile of the largest
+    # module a job loads (enumeration, graphs, tables, closedform, bijection)
+    # sets its peak RSS.  CPython 3.11's compile() allocates about 110-120 KiB
+    # more once a module passes 2,048 parser tokens, more than the benchmark's
+    # 0.1 MB bound on peak_rss_mb.  Tokens are counted without comments, blank
+    # lines and line breaks inside brackets.
+    paths = sorted(Path(compolab.__file__).parent.glob("*.py"))
+    assert {path.stem for path in paths} >= {"cli", "enumeration", "graphs", "numtheory"}
+    for path in paths:
         with tokenize.open(path) as source:
             count = sum(token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
                         for token in tokenize.generate_tokens(source.readline))
         assert count <= 2048, (
-            f"{module}.py has {count} tokens, past the 2,048 at which compiling it "
+            f"{path.name} has {count} tokens, past the 2,048 at which compiling it "
             "costs about 0.11 MB more"
         )
