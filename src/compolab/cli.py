@@ -57,50 +57,41 @@ def _comp_brute(a, memo, n, m):
     )
 
 
+# One route constructor per calling convention.  Each route looks its function
+# up on the module when it runs, so a rebinding (a tracer's, a test's) is seen.
+def _closed(name: str) -> Route:  # a closed form takes the memo
+    return lambda a, memo, *cell: getattr(compolab.closedform, name)(*cell, memo=memo)
+
+
+def _brute(name: str, *fixed: int) -> Route:  # a brute statistic takes the cap
+    return lambda a, memo, *cell: getattr(compolab.enumeration, name)(
+        *cell, *fixed, cap=a.max_brute_n)
+
+
+def _number(name: str) -> Route:  # a number primitive takes neither
+    return lambda a, memo, *cell: getattr(compolab.numtheory, name)(*cell)
+
+
 # kind -> (required parameters, {method: route}), in the agreement suites'
 # print order; the default is _DEFAULT_METHOD's, else the first method.  A route
 # is called as route(args, memo, *parameters), where memo is the MemoStore that
 # a table or a suite shares, or None for one value.
 ROUTES: dict[str, tuple[tuple[str, ...], dict[str, Route]]] = {
     "comp": (("n", "m"), {
-        "recursive": lambda a, memo, n, m: compolab.closedform.comp_count_recursive(
-            n, m, memo=memo
-        ),
-        "explicit": lambda a, memo, n, m: compolab.closedform.comp_count_explicit(n, m, memo=memo),
+        "recursive": _closed("comp_count_recursive"),
+        "explicit": _closed("comp_count_explicit"),
         "brute": _comp_brute,
-        "paper-literal": lambda a, memo, n, m: compolab.closedform.comp_count_paper_literal(
-            n, m, memo=memo
-        ),
+        "paper-literal": _closed("comp_count_paper_literal"),
     }),
-    "minimax": (("n", "m"), {
-        "formula": lambda a, memo, n, m: compolab.closedform.minimax_count_formula(
-            n, m, memo=memo
-        ),
-        "brute": lambda a, memo, n, m: compolab.enumeration.minimax_count_brute(
-            n, m, cap=a.max_brute_n
-        ),
-    }),
-    "maximin": (("n", "m"), {
-        "formula": lambda a, memo, n, m: compolab.closedform.maximin_count_formula(
-            n, m, memo=memo
-        ),
-    }),
-    "k1": (("n", "m"), {
-        "formula": lambda a, memo, n, m: compolab.closedform.k1_count_formula(n, m, memo=memo),
-        "brute": lambda a, memo, n, m: compolab.enumeration.kj_count_brute(
-            n, m, 1, cap=a.max_brute_n
-        ),
-    }),
-    "kj": (("n", "m", "j"), {
-        "brute": lambda a, memo, n, m, j: compolab.enumeration.kj_count_brute(
-            n, m, j, cap=a.max_brute_n
-        ),
-    }),
-    "bell": (("n",), {"formula": lambda a, memo, n: compolab.numtheory.bell(n)}),
-    "stirling2": (("n", "m"), {
-        "formula": lambda a, memo, n, m: compolab.numtheory.stirling2(n, m),
-    }),
-    "binomial": (("n", "m"), {"formula": lambda a, memo, n, m: compolab.numtheory.binomial(n, m)}),
+    "minimax": (("n", "m"), {"formula": _closed("minimax_count_formula"),
+                             "brute": _brute("minimax_count_brute")}),
+    "maximin": (("n", "m"), {"formula": _closed("maximin_count_formula")}),
+    "k1": (("n", "m"), {"formula": _closed("k1_count_formula"),
+                        "brute": _brute("kj_count_brute", 1)}),
+    "kj": (("n", "m", "j"), {"brute": _brute("kj_count_brute")}),
+    "bell": (("n",), {"formula": _number("bell")}),
+    "stirling2": (("n", "m"), {"formula": _number("stirling2")}),
+    "binomial": (("n", "m"), {"formula": _number("binomial")}),
 }
 
 _DEFAULT_METHOD = {"comp": "explicit"}

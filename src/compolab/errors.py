@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the brute-force cap behind
-``ResourceLimitError``.
+"""Exception types shared across the package, the brute-force cap behind
+``ResourceLimitError``, and the bounds the input parsers keep.
 
 The cap and its check live here, not in ``enumeration``, so that the command
 line can show the cap in its help, and refuse a table over it, without
@@ -41,3 +41,18 @@ def check_cap(n: int, cap: int | None) -> None:
             f"{n} vertices exceeds the brute-force cap of {limit} "
             f"(pass a higher cap explicitly to proceed)"
         )
+
+
+def _cut(text: str) -> str:
+    """``text`` for a one-line message: at most its first 40 characters, then "..."."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _significant(token: str) -> str:
+    """An integer token's digits less its sign, underscores and leading zeros
+    of any script ("+0_7" and "\u0660\u06605" read as 7 and 5): a parser checks
+    their count before int(), which is quadratic in them, reads the token."""
+    zeros, token = "_", token.lstrip("+-")
+    while (token := token.lstrip(zeros))[:1].isdecimal() and int(token[0]) == 0:
+        zeros += token[0]  # one more script's zero: a pass per script at most
+    return token.replace("_", "")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import attrgetter
 
-from .errors import InvalidParametersError, MalformedInputError
+from .errors import InvalidParametersError, MalformedInputError, _cut, _significant
 
 # Bitset guard: labels above this are rejected at construction.  Brute-force
 # enumeration becomes infeasible far below 64 vertices, so the fixed width
@@ -24,13 +24,8 @@ VertexSetLike = int | Iterable[int]
 
 # int() takes time quadratic in a token's digits, so the file parser refuses
 # a label or count with more significant digits than MAX_LABEL before
-# reading it, and a message echoes at most _ECHO characters of the input.
+# reading it.
 _DIGITS = len(str(MAX_LABEL))
-_ECHO = 40
-
-
-def _cut(text: str) -> str:
-    return text if len(text) <= _ECHO else text[:_ECHO] + "..."
 
 
 def label_mask(labels: Iterable[int]) -> int:
@@ -302,7 +297,7 @@ def parse_graph_file(text: str) -> LabelledGraph:
             try:
                 if len(fields) != 2 or fields[0] != "n" or not fields[1].isdigit():
                     raise ValueError
-                count = fields[1].lstrip("0")
+                count = _significant(fields[1])
                 if len(count) <= _DIGITS:
                     n = int(fields[1])  # isdigit() also passes digits int() rejects, like "²"
                     continue
@@ -316,7 +311,7 @@ def parse_graph_file(text: str) -> LabelledGraph:
         if len(fields) != 2:
             raise MalformedInputError(f"line {lineno}: expected 'u v', got {_cut(line)!r}")
         for label in fields:
-            if len(label.lstrip("+-").lstrip("0_").replace("_", "")) > _DIGITS:
+            if len(_significant(label)) > _DIGITS:
                 raise MalformedInputError(
                     f"line {lineno}: label {_cut(label)!r} is not an integer in 1..{MAX_LABEL}"
                 )

@@ -2,9 +2,13 @@
 ``verify`` and ``bfile``.
 
 ``cli`` imports this module when one of them runs, so ``value`` and
-``enumerate`` never compile it.  Every route is taken from ``cli.ROUTES``, and
-the closed forms are called through their modules, so a tracer that rebinds
-a module's functions sees every call.
+``enumerate`` never compile it.  Every route is taken from ``cli.ROUTES``,
+built there by the constructor of its calling convention (a closed form, a
+brute statistic or a number primitive); a route and every other call here
+goes through the module, so a tracer that rebinds a module's functions sees
+every call.  ``verify`` reads one record per suite from ``_SUITES``: its
+checks, its brute offset and whether it builds graphs.  The agreement suites
+are records built by ``_agreement``, and take their kind's routes as they run.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from .cli import (
     _select_route,
 )
 from .closedform import MemoStore
-from .errors import InvalidParametersError, MalformedInputError, ResourceLimitError, check_cap
+from .errors import (InvalidParametersError, MalformedInputError, ResourceLimitError, _cut,
+                     _significant, check_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -108,29 +113,6 @@ def _verify_rowsum(n_max: int, args, store: MemoStore) -> list[tuple[str, bool]]
     return checks
 
 
-def _agreement(args, store: MemoStore, kind: str, cells, extra=lambda *cell: ()):
-    """One check per cell: every method of ``ROUTES[kind]`` except the
-    documented erratum, in table order and called as `value` calls it, after
-    ``extra(*cell)``'s leading terms; the check passes when all values agree."""
-    routes = [(method, route) for method, route in ROUTES[kind][1].items()
-              if method != "paper-literal"]
-    checks = []
-    for cell in cells:
-        terms = [*extra(*cell)]
-        terms += [(method, route(args, store, *cell)) for method, route in routes]
-        checks.append((
-            f"{kind}({','.join(map(str, cell))}): "
-            + " ".join(f"{method}={value}" for method, value in terms),
-            len({value for _, value in terms}) == 1,
-        ))
-    return checks
-
-
-def _verify_threeway(n_max: int, args, store: MemoStore) -> list[tuple[str, bool]]:
-    cells = [(n, m) for n in range(n_max + 1) for m in range(n + 1)]
-    return _agreement(args, store, "comp", cells)
-
-
 def _verify_bijection(n_max: int, args, store: MemoStore) -> list[tuple[str, bool]]:
     from . import bijection
 
@@ -150,43 +132,52 @@ def _verify_bijection(n_max: int, args, store: MemoStore) -> list[tuple[str, boo
     return checks
 
 
-def _verify_k1(n_max: int, args, store: MemoStore) -> list[tuple[str, bool]]:
-    cells = [(n, m) for n in range(1, n_max + 1) for m in range(n + 1)]
-    return _agreement(args, store, "k1", cells)
+def _agreement(kind: str, first_n: int, first_m: int, extra=lambda store, n, m: ()):
+    """An agreement suite's checks: one per cell first_n <= n <= n_max,
+    first_m <= m <= n, whose terms are ``extra(store, n, m)``'s and then every
+    route of ``ROUTES[kind]`` but the documented erratum, in table order, read
+    as the suite runs.  A check passes when all its terms agree."""
+    def checks(n_max: int, args, store: MemoStore) -> list[tuple[str, bool]]:
+        routes = [(method, route) for method, route in ROUTES[kind][1].items()
+                  if method != "paper-literal"]
+        out = []
+        for n in range(first_n, n_max + 1):
+            for m in range(first_m, n + 1):
+                terms = [*extra(store, n, m)]
+                terms += [(method, route(args, store, n, m)) for method, route in routes]
+                out.append((
+                    f"{kind}({n},{m}): " + " ".join(f"{method}={value}" for method, value in terms),
+                    len({value for _, value in terms}) == 1,
+                ))
+        return out
+    return checks
 
 
-def _verify_reflection(n_max: int, args, store: MemoStore) -> list[tuple[str, bool]]:
-    cells = [(n, m) for n in range(1, n_max + 1) for m in range(1, n + 1)]
-    return _agreement(
-        args, store, "minimax", cells,
-        extra=lambda n, m: [
-            ("reflected-maximin", closedform.maximin_count_formula(n, n + 1 - m, memo=store))
-        ],
-    )
-
-
-_SUITES: dict[str, Callable] = {
-    "rowsum": _verify_rowsum,
-    "threeway": _verify_threeway,
-    "bijection": _verify_bijection,
-    "k1": _verify_k1,
-    "reflection": _verify_reflection,
+# suite -> (checks, brute offset or None, builds graphs).  checks(n_max, args,
+# store) returns the (line, passed) pairs; the offset is how many vertices past
+# n_max the suite's brute terms enumerate (None: it has none); the suites that
+# build graphs are refused over the connectivity table's bound before any cell.
+_SUITES: dict[str, tuple[Callable, int | None, bool]] = {
+    "rowsum": (_verify_rowsum, None, False),
+    "threeway": (_agreement("comp", 0, 0), 0, True),
+    "bijection": (_verify_bijection, 1, True),
+    "k1": (_agreement("k1", 1, 0), 0, False),
+    "reflection": (_agreement("minimax", 1, 1, lambda store, n, m: [
+        ("reflected-maximin", closedform.maximin_count_formula(n, n + 1 - m, memo=store)),
+    ]), 0, False),
 }
-
-# Largest vertex count a brute-backed suite enumerates, relative to n_max.
-_SUITE_BRUTE_OFFSET = {"threeway": 0, "bijection": 1, "k1": 0, "reflection": 0}
 
 
 def cmd_verify(args: Args) -> int:
-    offset = _SUITE_BRUTE_OFFSET.get(args.suite)
+    suite, offset, builds_graphs = _SUITES[args.suite]
     if offset is not None and args.n_max + offset > args.max_brute_n:
         raise ResourceLimitError(
             f"suite {args.suite!r} with --n-max {args.n_max} would enumerate "
             f"{args.n_max + offset} vertices, above the brute-force cap of {args.max_brute_n}"
         )
-    if args.suite in ("threeway", "bijection"):  # their brute terms build graphs
+    if builds_graphs:
         _check_graphs(args.n_max)
-    checks = _SUITES[args.suite](args.n_max, args, MemoStore())
+    checks = suite(args.n_max, args, MemoStore())
     failures = 0
     for description, passed in checks:
         print(f"{'ok  ' if passed else 'FAIL'} {description}")
@@ -214,28 +205,41 @@ def _parse_range(text: str) -> tuple[int, int]:
     return start, end
 
 
-def parse_bfile(text: str) -> dict[int, int]:
-    """Parse b-file text: optional '#' comments, then 'index value' lines."""
-    out: dict[int, int] = {}
+def _bfile_lines(text: str) -> Iterator[list[str]]:
+    """The index and value tokens of each 'index value' line of b-file text,
+    past '#' comments and blank lines.  Each token is checked as int() would
+    read it (a sign, then digits of any script with single underscores between
+    them) in time linear in its length, and is not converted."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
         if len(fields) != 2:
-            raise MalformedInputError(f"line {lineno}: expected 'index value', got {line!r}")
-        try:
-            out[int(fields[0])] = int(fields[1])
-        except ValueError:
-            raise MalformedInputError(
-                f"line {lineno}: expected integers, got {line!r}"
-            ) from None
-    return out
+            raise MalformedInputError(f"line {lineno}: expected 'index value', got {_cut(line)!r}")
+        for token in fields:
+            body = token[1:] if token[0] in "+-" else token
+            # Digits, with each "_" between two of them.
+            if not body.replace("_", "").isdecimal() or "__" in f"_{body}_":
+                raise MalformedInputError(f"line {lineno}: expected integers, got {_cut(line)!r}")
+        yield fields
+
+
+def parse_bfile(text: str) -> dict[int, int]:
+    """Parse b-file text: optional '#' comments, then 'index value' lines."""
+    pairs = list(_bfile_lines(text))
+    try:
+        return {int(index): int(value) for index, value in pairs}
+    except ValueError as exc:  # past Python's int -> str digit limit, outside `main`
+        raise MalformedInputError(str(exc)) from None
 
 
 def cmd_bfile(args: Args) -> int:
     start, end = _parse_range(args.range)
-    reference = None if args.compare is None else parse_bfile(_read_text(args.compare))
+    digits = len(str(end))  # an index with more significant digits is past the range: unread
+    reference = None if args.compare is None else {
+        int(index): value for index, value in _bfile_lines(_read_text(args.compare))
+        if len(_significant(index)) <= digits}
     store = MemoStore()
     mismatches = []  # printed after the terms, as the reference is checked
     for index in range(start, end + 1):
@@ -243,15 +247,19 @@ def cmd_bfile(args: Args) -> int:
             value = closedform.row_sum(index, memo=store)
         else:  # k1zero
             value = closedform.k1_count_formula(index, 0, memo=store)
-        print(f"{index} {value}")
+        text = str(value)
+        print(f"{index} {text}")
         if reference is None:
             continue
         if index not in reference:
             mismatches.append(f"MISMATCH index {index}: missing from reference")
-        elif reference[index] != value:
-            mismatches.append(
-                f"MISMATCH index {index}: computed {value}, reference {reference[index]}"
-            )
+            continue
+        # A reference with more significant digits than the term cannot equal
+        # it, so it is shown cut, not converted.
+        token = reference[index]
+        shown = str(int(token)) if len(_significant(token)) <= len(text) else _cut(token)
+        if shown != text:
+            mismatches.append(f"MISMATCH index {index}: computed {text}, reference {shown}")
     for line in mismatches:
         print(line, file=sys.stderr)
     return EXIT_VERIFY_FAILED if mismatches else EXIT_OK

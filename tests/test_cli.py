@@ -27,6 +27,7 @@ from compolab.closedform import (
     comp_count_recursive,
 )
 from compolab.enumeration import compositions
+from compolab.errors import CompolabError
 from compolab.graphs import complete, from_vertices_and_edges
 from compolab.numtheory import bell_numbers
 
@@ -141,6 +142,18 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
         path = tmp_path / f"digits{i}.graph"
         path.write_text(text)
         cases.append((["enumerate", str(path)], 2, message))
+    # A b-file index too long to be in the range, or a value too long to equal
+    # its term, is never converted, and its echo is cut; the term is printed
+    # before the reference is checked.
+    for i, (text, code, message) in enumerate([
+            (f"{digits} 1\n", 1, "MISMATCH index 0: missing from reference"),
+            (f"{digits}x 1\n", 2, "line 1: expected integers, got '777"),
+            (f"0 {digits}\n", 1, f"computed 1, reference {digits[:40]}..."),
+            (f"0 {digits}_\n", 2, "line 1: expected integers, got '0 777")]):
+        path = tmp_path / f"digits{i}.b"
+        path.write_text(text)
+        cases.append((["bfile", "rowsum", "--range", "0..0", "--compare", str(path)], code,
+                      message, "0 1\n" if code == 1 else ""))
     for kind, cell in (("minimax", ["-m", "1"]), ("kj", ["-m", "0", "-j", "2"]),
                        ("k1", ["-m", "0"])):
         cases.append((["value", kind, *cell, "--method", "brute", "-n", str(10**9)], 3,
@@ -157,10 +170,10 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
     #   value bell -n 100000;  verify rowsum --n-max 1000000;
     #   bfile rowsum --range 1000..1001;  table comp --max-n 1000000 (explicit)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    for argv, code, message in cases:
+    for argv, code, message, *out in cases:
         done = subprocess.run([sys.executable, "-m", "compolab.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=60, preexec_fn=limit)
-        assert (done.returncode, done.stdout) == (code, ""), (argv, done.stderr)
+        assert (done.returncode, done.stdout) == (code, "".join(out)), (argv, done.stderr)
         assert done.stderr.count("\n") == 1 and message in done.stderr, argv
         assert len(done.stderr) < 200, argv
         assert "Traceback" not in done.stderr, argv
@@ -223,7 +236,7 @@ def _outcome(route, *values):
     args = argparse.Namespace(max_brute_n=None)
     try:
         return route(args, MemoStore(), *values)
-    except Exception as exc:  # a rejected input must be rejected by every route
+    except CompolabError as exc:  # a rejected input must be rejected by every route
         return type(exc)
 
 
@@ -718,15 +731,25 @@ def test_each_agreement_term_reads_its_own_kernel(monkeypatch, capsys):
             assert code == (1 if kernel in moved else 0), (suite, kernel)
 
 
-def test_verify_brute_suite_respects_cap(capsys):
-    code, _, _ = run(capsys, "verify", "threeway", "--n-max", "13")
-    assert code == 3
+def test_verify_brute_suite_respects_cap(monkeypatch, capsys):
+    # Each suite with brute terms refuses, before any walk, an n_max whose
+    # largest enumeration passes the cap: n_max vertices, or n_max + 1 for
+    # bijection's right-hand side.  rowsum has no brute term, so no cap.
+    walks = _record_walks(monkeypatch)
+    for suite, n_max, vertices in (("threeway", 13, 13), ("k1", 13, 13),
+                                   ("reflection", 13, 13), ("bijection", 12, 13)):
+        assert run(capsys, "verify", suite, "--n-max", str(n_max)) == (
+            3, "", f"error: suite {suite!r} with --n-max {n_max} would enumerate "
+                   f"{vertices} vertices, above the brute-force cap of 12\n")
+    assert walks == []
+    code, out, _ = run(capsys, "verify", "rowsum", "--n-max", "13")
+    assert code == 0 and out.endswith("rowsum: 14/14 identities hold\n")
 
 
 def _record_walks(monkeypatch):
-    """Wrap the brute-force walker; the list it returns collects the number
-    of positions of every walk."""
-    from compolab import enumeration
+    """Wrap the brute-force walker in every module that binds it; the list it
+    returns collects the number of positions of every walk."""
+    from compolab import bijection, enumeration, partitions
 
     walks = []
     real = enumeration._block_stream
@@ -735,7 +758,8 @@ def _record_walks(monkeypatch):
         walks.append(n)
         return real(n)
 
-    monkeypatch.setattr(enumeration, "_block_stream", counting)
+    for module in (enumeration, partitions, bijection):
+        monkeypatch.setattr(module, "_block_stream", counting)
     return walks
 
 
@@ -957,3 +981,21 @@ def test_bfile_k1zero_from_zero(capsys):
 def test_parse_bfile_comments_and_values():
     parsed = tables.parse_bfile("# c\n\n0 1\n5 203\n")
     assert parsed == {0: 1, 5: 203}
+
+
+def test_bfile_tokens_are_checked_as_int_reads_them(tmp_path, capsys):
+    # The reference check runs in time linear in a token, without int(): it
+    # must accept exactly what int() reads, signs, underscores and the digits
+    # of other scripts included.  bell(1) = 1, so a token int() reads as 1
+    # passes, any other it reads mismatches, and the rest are malformed.
+    rng = random.Random(23)
+    reference = tmp_path / "one.b"
+    for _ in range(2000):
+        token = "".join(rng.choice("01_+-\u0660\u0665\u00b2a") for _ in range(rng.randint(1, 5)))
+        try:
+            code = 0 if int(token) == 1 else 1
+        except ValueError:
+            code = 2
+        reference.write_text(f"0 {token}\n")
+        assert run(capsys, "bfile", "rowsum", "--range", "0..0", "--compare",
+                   str(reference))[0] == code, token

@@ -154,6 +154,9 @@ def test_parse_graph_file():
     # Leading zeros do not count toward the digits a label may have.
     assert parse_graph_file("n 0003\n0001 00002\n002 3\n") == g
     assert parse_graph_file("n 064\n0064 63\n").edge_count == 1
+    # Nor do leading zeros of any script, as int() reads them (Arabic-Indic here).
+    assert parse_graph_file("n \u0660\u0660\u0665\n1 2\n").n == 5
+    assert parse_graph_file("n 3\n\u0660\u0660\u06601 2\n2 3\n") == g
 
 
 def test_parse_graph_file_cuts_what_it_echoes():
