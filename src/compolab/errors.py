@@ -49,9 +49,8 @@ def _cut(text: str) -> str:
 
 
 def _significant(token: str) -> str:
-    """An integer token's digits less its sign, underscores and leading zeros
-    of any script ("+0_7" and "\u0660\u06605" read as 7 and 5): a parser checks
-    their count before int(), which is quadratic in them, reads the token."""
+    """An integer token's digits less its sign, underscores and leading zeros of
+    any script ("+0_7" reads as 7): their count bounds int()'s quadratic read."""
     zeros, token = "_", token.lstrip("+-")
     while (token := token.lstrip(zeros))[:1].isdecimal() and int(token[0]) == 0:
         zeros += token[0]  # one more script's zero: a pass per script at most

@@ -207,9 +207,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _bfile_lines(text: str) -> Iterator[list[str]]:
     """The index and value tokens of each 'index value' line of b-file text,
-    past '#' comments and blank lines.  Each token is checked as int() would
-    read it (a sign, then digits of any script with single underscores between
-    them) in time linear in its length, and is not converted."""
+    past '#' comments and blank lines, each checked as int() reads it (a sign,
+    digits of any script, single underscores between them) but not converted."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -223,15 +222,6 @@ def _bfile_lines(text: str) -> Iterator[list[str]]:
             if not body.replace("_", "").isdecimal() or "__" in f"_{body}_":
                 raise MalformedInputError(f"line {lineno}: expected integers, got {_cut(line)!r}")
         yield fields
-
-
-def parse_bfile(text: str) -> dict[int, int]:
-    """Parse b-file text: optional '#' comments, then 'index value' lines."""
-    pairs = list(_bfile_lines(text))
-    try:
-        return {int(index): int(value) for index, value in pairs}
-    except ValueError as exc:  # past Python's int -> str digit limit, outside `main`
-        raise MalformedInputError(str(exc)) from None
 
 
 def cmd_bfile(args: Args) -> int:
@@ -254,10 +244,10 @@ def cmd_bfile(args: Args) -> int:
         if index not in reference:
             mismatches.append(f"MISMATCH index {index}: missing from reference")
             continue
-        # A reference with more significant digits than the term cannot equal
-        # it, so it is shown cut, not converted.
+        # A reference with more significant digits than the term, and than 40,
+        # cannot equal it and would be slow to convert: it is shown cut.
         token = reference[index]
-        shown = str(int(token)) if len(_significant(token)) <= len(text) else _cut(token)
+        shown = str(int(token)) if len(_significant(token)) <= max(len(text), 40) else _cut(token)
         if shown != text:
             mismatches.append(f"MISMATCH index {index}: computed {text}, reference {shown}")
     for line in mismatches:

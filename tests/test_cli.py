@@ -978,24 +978,31 @@ def test_bfile_k1zero_from_zero(capsys):
     assert code == 0 and out == "0 1\n1 0\n2 1\n"
 
 
-def test_parse_bfile_comments_and_values():
-    parsed = tables.parse_bfile("# c\n\n0 1\n5 203\n")
-    assert parsed == {0: 1, 5: 203}
+def test_parse_bfile_comments_and_values(tmp_path, capsys):
+    text = "# c\n\n0 1\n5 203\n"
+    assert dict(tables._bfile_lines(text)) == {"0": "1", "5": "203"}
+    reference = tmp_path / "rowsum.b"
+    reference.write_text(text)
+    assert run(capsys, "bfile", "rowsum", "--range", "5..5", "--compare",
+               str(reference)) == (0, "5 203\n", "")
 
 
 def test_bfile_tokens_are_checked_as_int_reads_them(tmp_path, capsys):
     # The reference check runs in time linear in a token, without int(): it
     # must accept exactly what int() reads, signs, underscores and the digits
     # of other scripts included.  bell(1) = 1, so a token int() reads as 1
-    # passes, any other it reads mismatches, and the rest are malformed.
+    # passes, any other it reads mismatches, shown as int() reads it, and the
+    # rest are malformed.
     rng = random.Random(23)
     reference = tmp_path / "one.b"
-    for _ in range(2000):
-        token = "".join(rng.choice("01_+-\u0660\u0665\u00b2a") for _ in range(rng.randint(1, 5)))
+    fixed = ["+10", "1_0", "010", "\u0661\u0660", "-0_1", "+\u0660\u06601"]
+    for token in fixed + ["".join(rng.choice("01_+-\u0660\u0665\u00b2a")
+                                  for _ in range(rng.randint(1, 5))) for _ in range(2000)]:
         try:
             code = 0 if int(token) == 1 else 1
+            err = "" if code == 0 else f"MISMATCH index 0: computed 1, reference {int(token)}\n"
         except ValueError:
-            code = 2
+            code, err = 2, None
         reference.write_text(f"0 {token}\n")
-        assert run(capsys, "bfile", "rowsum", "--range", "0..0", "--compare",
-                   str(reference))[0] == code, token
+        got = run(capsys, "bfile", "rowsum", "--range", "0..0", "--compare", str(reference))
+        assert got[0] == code and (err is None or got[2] == err), (token, got)
