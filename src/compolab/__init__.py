@@ -48,9 +48,8 @@ _EXPORTS = {
         "is_connected_induced",
         "label_mask",
         "mask_labels",
-        "parse_graph_file",
     ),
-    "listing": (),
+    "listing": ("parse_graph_file",),
     "numtheory": ("bell", "binomial", "stirling2", "stirling_row"),
     "partitions": (
         "Composition",

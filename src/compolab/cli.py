@@ -141,15 +141,6 @@ def cmd_value(args: Args) -> int:
     return EXIT_OK
 
 
-def _read_text(path: str) -> str:
-    """A UTF-8 file's text, less any byte-order mark; unreadable or undecodable is malformed."""
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedInputError(f"cannot read {path}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # command lines
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import InconsistentResultError, InvalidParametersError
 from .numtheory import _bell_from, _stirling_from, stirling_row
@@ -238,15 +238,18 @@ def k1_count_formula(n: int, m: int, memo: MemoStore | None = None) -> int:
 
     For m >= 1 this is the inclusion-exclusion sum
     sum_{j=1}^{m} (-1)^(j+1) * C(m-1, j-1) * B(n-j) over forced singletons
-    below m.  The m = 0 value counts partitions with no singleton at all,
-    sum_{j=0}^{n} (-1)^j * C(n, j) * B(n-j) by inclusion-exclusion over the
-    singletons; it is 1 at n = 0 (the empty partition).  ``memo`` lends its
-    Bell prefix; ``memo=None`` uses a fresh store for this call only.
+    below m.  The m = 0 value a(n) counts partitions with no singleton at
+    all.  Joining the singletons of a partition of {1..n-1} into one block
+    with n maps the B(n-1) partitions of {1..n-1} one-to-one onto those of
+    {1..n} with no singleton but {n}, so a(n) + a(n-1) = B(n-1), and a(n) is
+    the alternating Bell sum sum_{i=0}^{n-1} (-1)^(n-1-i) * B(i) + (-1)^n;
+    it is 1 at n = 0 (the empty partition).  ``memo`` lends its Bell prefix;
+    ``memo=None`` uses a fresh store for this call only.
     """
     _check_pair(n, m)
     b = (MemoStore() if memo is None else memo).bell_numbers(n)
     if m == 0:
-        terms = (math.comb(n, j) * b[n - j] for j in range(n + 1))
+        terms = chain(reversed(b[:n]), [1])  # B(n-1), B(n-2), ..., B(0), then 1
     else:
         terms = (math.comb(m - 1, j - 1) * b[n - j] for j in range(1, m + 1))
     return sum(t if k % 2 == 0 else -t for k, t in enumerate(terms))

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the brute-force cap behind
-``ResourceLimitError``, and the bounds the input parsers keep.
+``ResourceLimitError``, and the bounds the input parsers keep: the reader of
+their files' lines and the cut of what a message echoes.
 
 The cap and its check live here, not in ``enumeration``, so that the command
 line can show the cap in its help, and refuse a table over it, without
@@ -7,6 +8,8 @@ loading the enumeration code.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 # Largest vertex count a brute-force enumeration runs without an explicit cap.
 BRUTE_FORCE_CAP = 12
@@ -41,6 +44,37 @@ def check_cap(n: int, cap: int | None) -> None:
             f"{n} vertices exceeds the brute-force cap of {limit} "
             f"(pass a higher cap explicitly to proceed)"
         )
+
+
+# Longest line an input file may hold, in characters: above the
+# million-digit tokens a file may carry, and the most that a reader holds.
+MAX_LINE = 1 << 21
+
+# Characters a reader takes per read; its lines are cut from them at once.
+_CHUNK = 1 << 14
+
+
+def read_lines(path: str) -> Iterator[str]:
+    """A UTF-8 file's lines, less any byte-order mark and line breaks ("\\n",
+    "\\r" or "\\r\\n"), read a chunk at a time.  An unreadable or undecodable
+    file, or a line longer than ``MAX_LINE``, is malformed, and is refused as
+    the reading reaches it."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:  # reads "\r" and "\r\n" as "\n"
+            lineno, tail = 0, ""
+            while chunk := handle.read(_CHUNK):
+                *lines, tail = (tail + chunk).split("\n")
+                # Only the first line, or a tail that holds no break, spans chunks.
+                if len(lines[0] if lines else tail) > MAX_LINE:
+                    raise MalformedInputError(
+                        f"cannot read {path}: line {lineno + 1} is longer than {MAX_LINE} "
+                        "characters")
+                lineno += len(lines)
+                yield from lines
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInputError(f"cannot read {path}: {exc}") from exc
+    if tail:
+        yield tail
 
 
 def _cut(text: str) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import attrgetter
 
-from .errors import InvalidParametersError, MalformedInputError, _cut, _significant
+from .errors import InvalidParametersError, MalformedInputError
 
 # Bitset guard: labels above this are rejected at construction.  Brute-force
 # enumeration becomes infeasible far below 64 vertices, so the fixed width
@@ -21,11 +21,6 @@ from .errors import InvalidParametersError, MalformedInputError, _cut, _signific
 MAX_LABEL = 64
 
 VertexSetLike = int | Iterable[int]
-
-# int() takes time quadratic in a token's digits, so the file parser refuses
-# a label or count with more significant digits than MAX_LABEL before
-# reading it.
-_DIGITS = len(str(MAX_LABEL))
 
 
 def label_mask(labels: Iterable[int]) -> int:
@@ -278,50 +273,3 @@ def is_connected_induced(g: LabelledGraph, s: VertexSetLike) -> bool:
     if mask & ~g.vertex_mask:
         raise InvalidParametersError("vertex set is not a subset of the graph's vertices")
     return mask_connected(mask, g.adj)
-
-
-def parse_graph_file(text: str) -> LabelledGraph:
-    """Parse the plain-text graph format.
-
-    Lines starting with "#" and blank lines are ignored.  The first data line
-    is ``n <count>``; each following data line is one edge ``u v`` (1-based).
-    """
-    n: int | None = None
-    pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if n is None:
-            try:
-                if len(fields) != 2 or fields[0] != "n" or not fields[1].isdigit():
-                    raise ValueError
-                count = _significant(fields[1])
-                if len(count) <= _DIGITS:
-                    n = int(fields[1])  # isdigit() also passes digits int() rejects, like "²"
-                    continue
-            except ValueError:
-                raise MalformedInputError(
-                    f"line {lineno}: expected 'n <count>', got {_cut(line)!r}"
-                ) from None
-            raise InvalidParametersError(
-                f"n = {_cut(count)} is above the largest supported vertex count, {MAX_LABEL}"
-            )
-        if len(fields) != 2:
-            raise MalformedInputError(f"line {lineno}: expected 'u v', got {_cut(line)!r}")
-        for label in fields:
-            if len(_significant(label)) > _DIGITS:
-                raise MalformedInputError(
-                    f"line {lineno}: label {_cut(label)!r} is not an integer in 1..{MAX_LABEL}"
-                )
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise MalformedInputError(
-                f"line {lineno}: expected integer labels, got {_cut(line)!r}"
-            ) from None
-        pairs.append((u, v))
-    if n is None:
-        raise MalformedInputError("missing 'n <count>' header line")
-    return from_edge_list(n, pairs)

@@ -1,18 +1,82 @@
 """The ``enumerate`` command: every composition of a graph file, one per line.
 
-``cli`` imports this module when the command runs.  The lines are rendered
-from the walker's block bitsets, so no ``Partition`` or ``Composition`` object
-is built and the object layer (``partitions``) is never loaded.
+``cli`` imports this module when the command runs.  The file is read a line
+at a time into one adjacency bitset per label, so no text or edge list is
+held whatever its length.  The lines are rendered from the walker's block
+bitsets, so no ``Partition`` or ``Composition`` object is built and the
+object layer (``partitions``) is never loaded, and they are written as their
+text reaches a fixed number of bytes.
 """
 
 from __future__ import annotations
 
+import io
 import sys
-from collections.abc import Iterator
-from itertools import islice
+from collections.abc import Iterable, Iterator
 
 from . import enumeration, graphs
-from .cli import EXIT_OK, Args, _read_text
+from .cli import EXIT_OK, Args
+from .errors import InvalidParametersError, MalformedInputError, _cut, _significant, read_lines
+
+# int() takes time quadratic in a token's digits, so the parser refuses a
+# label or count with more significant digits than MAX_LABEL before reading it.
+_DIGITS = len(str(graphs.MAX_LABEL))
+
+
+def parse_graph_file(lines: str | Iterable[str]) -> graphs.LabelledGraph:
+    """Parse the plain-text graph format, given as text or as its lines.
+
+    Lines starting with "#" and blank lines are ignored.  The first data line
+    is ``n <count>``; each following data line is one edge ``u v`` (1-based).
+    Each line is checked as it is read, the count and each edge included, and
+    its edge is set in one neighbor bitset per label.
+    """
+    if isinstance(lines, str):
+        lines = io.StringIO(lines, newline=None)  # cut into lines as a file is read
+    n: int | None = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if n is None:
+            header = MalformedInputError(f"line {lineno}: expected 'n <count>', got {_cut(line)!r}")
+            if len(fields) != 2 or fields[0] != "n" or not fields[1].isdigit():
+                raise header
+            count = _significant(fields[1])
+            if len(count) > _DIGITS:
+                raise InvalidParametersError(
+                    f"n = {_cut(count)} is above the largest supported vertex count, "
+                    f"{graphs.MAX_LABEL}")
+            try:
+                n = int(fields[1])
+            except ValueError:  # isdigit() also passes digits int() rejects, like "²"
+                raise header from None
+            graphs._check_count(n)
+            adj = [0] * (n + 1)
+            continue
+        if len(fields) != 2:
+            raise MalformedInputError(f"line {lineno}: expected 'u v', got {_cut(line)!r}")
+        for label in fields:
+            if len(label) > _DIGITS and len(_significant(label)) > _DIGITS:
+                raise MalformedInputError(
+                    f"line {lineno}: label {_cut(label)!r} is not an integer in "
+                    f"1..{graphs.MAX_LABEL}")
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise MalformedInputError(
+                f"line {lineno}: expected integer labels, got {_cut(line)!r}"
+            ) from None
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise MalformedInputError(f"edge {{{u},{v}}} has a label outside 1..{n}")
+        if u == v:
+            raise MalformedInputError(f"self-loop at label {u}")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    if n is None:
+        raise MalformedInputError("missing 'n <count>' header line")
+    return graphs.LabelledGraph(graphs.label_mask(range(1, n + 1)), tuple(adj))
 
 
 class _BlockText(dict):
@@ -36,15 +100,18 @@ def _composition_lines(g, cap: int | None = None) -> Iterator[str]:
     return ("|".join(map(text.__getitem__, blocks[:blocks.index(0)])) for _, blocks in states)
 
 
-# Lines per write: one write per line would be one system call each on an
-# unbuffered stdout.
-_LINES_PER_WRITE = 4096
+# Bytes of pending text that make a write (each line is ASCII): few system
+# calls on an unbuffered stdout, and little text held at once.
+_WRITE_BYTES = 8192
 
 
 def cmd_enumerate(args: Args) -> int:
-    g = graphs.parse_graph_file(_read_text(args.graph_file))
-    lines = _composition_lines(g, args.max_brute_n)
-    while chunk := list(islice(lines, _LINES_PER_WRITE)):
-        chunk.append("")
-        sys.stdout.write("\n".join(chunk))
+    g = parse_graph_file(read_lines(args.graph_file))
+    pending = ""
+    for line in _composition_lines(g, args.max_brute_n):
+        pending += line + "\n"
+        if len(pending) >= _WRITE_BYTES:
+            sys.stdout.write(pending)
+            pending = ""
+    sys.stdout.write(pending)
     return EXIT_OK

@@ -14,7 +14,7 @@ are records built by ``_agreement``, and take their kind's routes as they run.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from . import closedform, numtheory
 from .cli import (
@@ -24,12 +24,11 @@ from .cli import (
     _TABLE_FIRST_ROW,
     Args,
     Route,
-    _read_text,
     _select_route,
 )
 from .closedform import MemoStore
 from .errors import (InvalidParametersError, MalformedInputError, ResourceLimitError, _cut,
-                     _significant, check_cap)
+                     _significant, check_cap, read_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +204,12 @@ def _parse_range(text: str) -> tuple[int, int]:
     return start, end
 
 
-def _bfile_lines(text: str) -> Iterator[list[str]]:
-    """The index and value tokens of each 'index value' line of b-file text,
-    past '#' comments and blank lines, each checked as int() reads it (a sign,
-    digits of any script, single underscores between them) but not converted."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _bfile_lines(lines: Iterable[str]) -> Iterator[list[str]]:
+    """The index and value tokens of each 'index value' line of a b-file's
+    lines, past '#' comments and blank lines, each checked as int() reads it
+    (a sign, digits of any script, single underscores between them) but not
+    converted."""
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -219,7 +219,8 @@ def _bfile_lines(text: str) -> Iterator[list[str]]:
         for token in fields:
             body = token[1:] if token[0] in "+-" else token
             # Digits, with each "_" between two of them.
-            if not body.replace("_", "").isdecimal() or "__" in f"_{body}_":
+            if not body.isdecimal() and (
+                    not body.replace("_", "").isdecimal() or "__" in f"_{body}_"):
                 raise MalformedInputError(f"line {lineno}: expected integers, got {_cut(line)!r}")
         yield fields
 
@@ -228,8 +229,8 @@ def cmd_bfile(args: Args) -> int:
     start, end = _parse_range(args.range)
     digits = len(str(end))  # an index with more significant digits is past the range: unread
     reference = None if args.compare is None else {
-        int(index): value for index, value in _bfile_lines(_read_text(args.compare))
-        if len(_significant(index)) <= digits}
+        int(index): value for index, value in _bfile_lines(read_lines(args.compare))
+        if len(index) <= digits or len(_significant(index)) <= digits}
     store = MemoStore()
     mismatches = []  # printed after the terms, as the reference is checked
     for index in range(start, end + 1):

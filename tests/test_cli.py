@@ -27,7 +27,7 @@ from compolab.closedform import (
     comp_count_recursive,
 )
 from compolab.enumeration import compositions
-from compolab.errors import CompolabError
+from compolab.errors import _CHUNK, MAX_LINE, CompolabError, MalformedInputError, read_lines
 from compolab.graphs import complete, from_vertices_and_edges
 from compolab.numtheory import bell_numbers
 
@@ -115,9 +115,10 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
     # size checked only after its graph is built fails here (out of memory,
     # or the timeout) instead of exhausting the host.  The brute comp count
     # refuses by its cap (exit 3); a graph file's vertex count is refused by
-    # name (exit 2).  A file that never ends runs out of memory (exit 3).  A
-    # million-digit count or label is refused before int() reads it (int() is
-    # quadratic in the digits), and every message stays one short line.
+    # name (exit 2).  A file that never ends is refused at its first line
+    # longer than MAX_LINE (exit 2).  A million-digit count or label is
+    # refused before int() reads it (int() is quadratic in the digits), and
+    # every message stays one short line.
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
 
@@ -131,9 +132,9 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
              (brute + ["100000"], 3, "100000 vertices exceeds the brute-force cap"),
              (["enumerate", str(huge)], 2, "n = 1000000000 is above"),
              (["enumerate", str(wide)], 2, "n = 65 is above"),
-             (["enumerate", "/dev/zero"], 3, "error: out of memory"),
-             (["bfile", "rowsum", "--range", "0..1", "--compare", "/dev/zero"], 3,
-              "error: out of memory")]
+             (["enumerate", "/dev/zero"], 2, f"line 1 is longer than {MAX_LINE} characters"),
+             (["bfile", "rowsum", "--range", "0..1", "--compare", "/dev/zero"], 2,
+              f"line 1 is longer than {MAX_LINE} characters")]
     digits = "7" * 10**6
     for i, (text, message) in enumerate([
             (f"n {digits}\n1 2\n", "n = 777"), (f"n 3\n1 {digits}\n", "line 2: label '777"),
@@ -170,13 +171,30 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
     #   value bell -n 100000;  verify rowsum --n-max 1000000;
     #   bfile rowsum --range 1000..1001;  table comp --max-n 1000000 (explicit)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    for argv, code, message, *out in cases:
-        done = subprocess.run([sys.executable, "-m", "compolab.cli", *argv], env=env,
+
+    def run_limited(argv):
+        return subprocess.run([sys.executable, "-m", "compolab.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=60, preexec_fn=limit)
+
+    for argv, code, message, *out in cases:
+        done = run_limited(argv)
         assert (done.returncode, done.stdout) == (code, "".join(out)), (argv, done.stderr)
         assert done.stderr.count("\n") == 1 and message in done.stderr, argv
         assert len(done.stderr) < 200, argv
         assert "Traceback" not in done.stderr, argv
+    # Files are read a line at a time, so two million lines (8 MB of text)
+    # fit under the limit: the graph file's edges are kept as bitsets, and
+    # the b-file reference keeps one entry per index.
+    lines = 2 * 10**6
+    many = tmp_path / "many.graph"
+    many.write_text("n 2\n" + "1 2\n" * lines)
+    reference = tmp_path / "many.b"
+    reference.write_text("0 1\n" + "1 2\n" * (lines - 1))
+    for argv, out in ((["enumerate", str(many)], "{1,2}\n{1}|{2}\n"),
+                      (["bfile", "rowsum", "--range", "0..1", "--compare", str(reference)],
+                       "0 1\n1 2\n")):
+        done = run_limited(argv)
+        assert (done.returncode, done.stdout, done.stderr) == (0, out, ""), argv
 
 
 def test_negative_brute_cap_is_a_usage_error(capsys):
@@ -827,7 +845,7 @@ def test_enumerate_path_graph(tmp_path, capsys):
         ]
 
 
-def test_enumerate_lines_read_as_the_compositions_print(tmp_path, capsys):
+def test_enumerate_lines_read_as_the_compositions_print(tmp_path, monkeypatch):
     # The command renders its lines from the walker's block bitsets.
     rng = random.Random(9)
     graphs = [from_vertices_and_edges([], []), from_vertices_and_edges([7], [])]
@@ -837,12 +855,23 @@ def test_enumerate_lines_read_as_the_compositions_print(tmp_path, capsys):
         graphs.append(from_vertices_and_edges(labels, rng.sample(pairs, rng.randint(0, len(pairs)))))
     for g in graphs:
         assert list(listing._composition_lines(g)) == [str(c) for c in compositions(g)], g
-    # Bell(8) = 4140 compositions: more lines than one write takes.
+    # Bell(8) = 4140 compositions, about 80 KB of text: several writes.
     f = tmp_path / "k8.graph"
     f.write_text("n 8\n" + "".join(f"{u} {v}\n" for u in range(1, 9) for v in range(u + 1, 9)))
-    code, out, _ = run(capsys, "enumerate", str(f))
-    assert 4140 > listing._LINES_PER_WRITE
-    assert code == 0 and out == "".join(f"{c}\n" for c in compositions(complete(8)))
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["enumerate", str(f)]) == 0
+    assert sys.stdout.getvalue() == "".join(f"{c}\n" for c in compositions(complete(8)))
+    # Each write but the last holds the byte budget and less than one line (at
+    # most 32 bytes here) more.
+    budget = listing._WRITE_BYTES
+    assert len(writes) > 4 and all(budget <= size < budget + 40 for size in writes[:-1])
 
 
 def test_enumerate_complete_graph(tmp_path, capsys):
@@ -979,12 +1008,32 @@ def test_bfile_k1zero_from_zero(capsys):
 
 
 def test_parse_bfile_comments_and_values(tmp_path, capsys):
-    text = "# c\n\n0 1\n5 203\n"
-    assert dict(tables._bfile_lines(text)) == {"0": "1", "5": "203"}
     reference = tmp_path / "rowsum.b"
-    reference.write_text(text)
+    reference.write_text("# c\n\n0 1\n5 203\n")
+    assert dict(tables._bfile_lines(read_lines(str(reference)))) == {"0": "1", "5": "203"}
     assert run(capsys, "bfile", "rowsum", "--range", "5..5", "--compare",
                str(reference)) == (0, "5 203\n", "")
+
+
+def test_read_lines_cuts_and_bounds_lines(tmp_path):
+    # Lines end at "\n", "\r" or "\r\n" (one split across two reads too), and
+    # a byte-order mark is dropped.
+    path = tmp_path / "lines.txt"
+    for width in range(_CHUNK - 12, _CHUNK - 6):
+        path.write_bytes("\ufeffa\r\nb\rc\n\n\x0cd".encode() + b"x" * width + b"\r\ny")
+        assert list(read_lines(str(path))) == ["a", "b", "c", "", "\x0cd" + "x" * width, "y"]
+    # A line may hold MAX_LINE characters; a longer one is refused by number.
+    path.write_text("x\n" + "7" * MAX_LINE + "\n")
+    assert [len(line) for line in read_lines(str(path))] == [1, MAX_LINE]
+    path.write_text("x\n" + "7" * (MAX_LINE + 1))
+    with pytest.raises(MalformedInputError, match=f"line 2 is longer than {MAX_LINE} "):
+        list(read_lines(str(path)))
+    # Each fault is found as the reading reaches it.
+    path.write_bytes(b"n 3\n" + b"1 2\n" * _CHUNK + b"\xff\n")
+    lines = read_lines(str(path))
+    assert next(lines) == "n 3"
+    with pytest.raises(MalformedInputError, match="cannot read .*can't decode byte 0xff"):
+        list(lines)
 
 
 def test_bfile_tokens_are_checked_as_int_reads_them(tmp_path, capsys):

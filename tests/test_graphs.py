@@ -159,6 +159,25 @@ def test_parse_graph_file():
     assert parse_graph_file("n 3\n\u0660\u0660\u06601 2\n2 3\n") == g
 
 
+def test_parse_graph_file_reads_a_line_at_a_time():
+    # The count, and each edge, is refused as soon as its line is read.
+    def lines(*head):
+        yield from head
+        raise AssertionError("read past the line at fault")
+
+    for head, error in ((["n 65"], InvalidParametersError), (["n 3", "1 4"], MalformedInputError),
+                        (["# c", "n 3", "2 2"], MalformedInputError),
+                        (["n 3", "1 2", "1 x"], MalformedInputError)):
+        with pytest.raises(error):
+            parse_graph_file(lines(*head))
+    assert parse_graph_file(iter(["n 3", "1 2", "2 3"])) == from_edge_list(3, [(1, 2), (2, 3)])
+    # Text is cut into lines as a file is: at "\n", "\r" and "\r\n" only, so a
+    # form feed is whitespace inside a line.
+    assert parse_graph_file("n 3\r1 2\r\n2 3") == from_edge_list(3, [(1, 2), (2, 3)])
+    with pytest.raises(MalformedInputError, match="line 2: expected 'u v'"):
+        parse_graph_file("n 3\n1 2\x0c2 3\n")
+
+
 def test_parse_graph_file_cuts_what_it_echoes():
     for text in (f"n 3\n1 2 {'9' * 500}\n", f"n 3\n1 {'9' * 500}\n", f"n {'9' * 500}\n"):
         with pytest.raises(ValueError) as exc:
