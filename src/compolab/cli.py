@@ -51,7 +51,7 @@ Route = Callable[..., int]
 
 def _comp_brute(a, memo, n, m):
     if 0 <= m <= n:  # the graph builder refuses the other cells
-        check_cap(n, a.max_brute_n)  # before the graph lists its n²/2 pairs
+        check_cap(n, a.max_brute_n)  # before the graph draws its n²/2 pairs
     return compolab.enumeration.composition_count_brute(
         compolab.graphs.complete_minus_clique(n, m), cap=a.max_brute_n
     )

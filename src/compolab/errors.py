@@ -1,6 +1,7 @@
 """Exception types shared across the package, the brute-force cap behind
-``ResourceLimitError``, and the bounds the input parsers keep: the reader of
-their files' lines and the cut of what a message echoes.
+``ResourceLimitError``, and what the input parsers share: the reader of their
+files' lines, the splitter of their data lines, and the cut of what a message
+echoes.
 
 The cap and its check live here, not in ``enumeration``, so that the command
 line can show the cap in its help, and refuse a table over it, without
@@ -9,7 +10,7 @@ loading the enumeration code.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 # Largest vertex count a brute-force enumeration runs without an explicit cap.
 BRUTE_FORCE_CAP = 12
@@ -50,31 +51,33 @@ def check_cap(n: int, cap: int | None) -> None:
 # million-digit tokens a file may carry, and the most that a reader holds.
 MAX_LINE = 1 << 21
 
-# Characters a reader takes per read; its lines are cut from them at once.
-_CHUNK = 1 << 14
-
 
 def read_lines(path: str) -> Iterator[str]:
     """A UTF-8 file's lines, less any byte-order mark and line breaks ("\\n",
-    "\\r" or "\\r\\n"), read a chunk at a time.  An unreadable or undecodable
+    "\\r" or "\\r\\n"), read one at a time.  An unreadable or undecodable
     file, or a line longer than ``MAX_LINE``, is malformed, and is refused as
     the reading reaches it."""
     try:
         with open(path, encoding="utf-8-sig") as handle:  # reads "\r" and "\r\n" as "\n"
-            lineno, tail = 0, ""
-            while chunk := handle.read(_CHUNK):
-                *lines, tail = (tail + chunk).split("\n")
-                # Only the first line, or a tail that holds no break, spans chunks.
-                if len(lines[0] if lines else tail) > MAX_LINE:
+            lineno = 0
+            while line := handle.readline(MAX_LINE + 1):
+                lineno += 1
+                if len(line) > MAX_LINE and line[-1] != "\n":
                     raise MalformedInputError(
-                        f"cannot read {path}: line {lineno + 1} is longer than {MAX_LINE} "
+                        f"cannot read {path}: line {lineno} is longer than {MAX_LINE} "
                         "characters")
-                lineno += len(lines)
-                yield from lines
+                yield line.removesuffix("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
-    if tail:
-        yield tail
+
+
+def data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list[str]]]:
+    """The number, stripped text and whitespace-split fields of each line that
+    is neither blank nor a "#" comment, numbered from 1 among all the lines."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line and line[0] != "#":
+            yield lineno, line, line.split()
 
 
 def _cut(text: str) -> str:

@@ -5,12 +5,16 @@ Vertices are positive integer labels; a vertex set is an int used as a bitset
 they hash, compare structurally, and are safe to share across threads.  The
 builders cover the family obtained from a complete graph by deleting all edges
 inside the label prefix {1..m}, which is the family everything else in this
-package counts.
+package counts.  ``complete``, ``complete_minus_clique`` and ``from_edge_list``
+(which ``listing``'s graph-file parser calls) hand their pairs, one at a time,
+to ``from_vertices_and_edges``, the one loop that sets adjacency bits from
+pairs, so no pair list is held.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import combinations
 from operator import attrgetter
 
 from .errors import InvalidParametersError, MalformedInputError
@@ -19,8 +23,6 @@ from .errors import InvalidParametersError, MalformedInputError
 # enumeration becomes infeasible far below 64 vertices, so the fixed width
 # costs nothing in practice; raise it if you really need wider graphs.
 MAX_LABEL = 64
-
-VertexSetLike = int | Iterable[int]
 
 
 def label_mask(labels: Iterable[int]) -> int:
@@ -39,13 +41,6 @@ def mask_labels(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def as_vertex_mask(s: VertexSetLike) -> int:
-    """Normalize a vertex set given as a bitset int or an iterable of labels."""
-    if isinstance(s, int):
-        return s
-    return label_mask(s)
 
 
 class Frozen:
@@ -148,12 +143,6 @@ class LabelledGraph(Frozen):
     def edge_count(self) -> int:
         return sum(self.adj[v].bit_count() for v in self.labels) // 2
 
-    def neighbors(self, v: int) -> int:
-        """Neighbor bitset of label v."""
-        if not (self.vertex_mask >> v) & 1:
-            raise InvalidParametersError(f"label {v} is not a vertex")
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.vertex_mask >> u) & 1) and bool((self.adj[u] >> v) & 1)
 
@@ -161,7 +150,11 @@ class LabelledGraph(Frozen):
 def from_vertices_and_edges(
     labels: Iterable[int], pairs: Iterable[tuple[int, int]]
 ) -> LabelledGraph:
-    """Build a graph on an explicit label set; duplicate edges collapse."""
+    """Build a graph on an explicit label set; duplicate edges collapse.
+
+    This is the one loop that sets adjacency bits from pairs: it checks each
+    pair as it draws it, so no pair list is held.
+    """
     mask = 0
     for v in labels:
         if v < 1 or v > MAX_LABEL:
@@ -179,7 +172,7 @@ def from_vertices_and_edges(
 
 
 def _check_count(n: int) -> None:
-    """Refuse a vertex count outside 0..MAX_LABEL before any pair is listed."""
+    """Refuse a vertex count outside 0..MAX_LABEL before any pair is drawn."""
     if n < 0:
         raise InvalidParametersError(f"n must be >= 0, got {n}")
     if n > MAX_LABEL:
@@ -188,13 +181,12 @@ def _check_count(n: int) -> None:
         )
 
 
+# combinations() lists its pool at once, so the builders below check the count
+# before they hand it range(1, n + 1).
 def complete(n: int) -> LabelledGraph:
     """Complete graph on labels 1..n (n = 0 gives the empty graph)."""
     _check_count(n)
-    labels = range(1, n + 1)
-    return from_vertices_and_edges(
-        labels, ((u, v) for u in labels for v in range(u + 1, n + 1))
-    )
+    return from_edge_list(n, combinations(range(1, n + 1), 2))
 
 
 def complete_minus_clique(n: int, m: int) -> LabelledGraph:
@@ -206,27 +198,27 @@ def complete_minus_clique(n: int, m: int) -> LabelledGraph:
     if n < 0 or m < 0 or m > n:
         raise InvalidParametersError(f"need 0 <= m <= n, got n={n}, m={m}")
     _check_count(n)
-    pairs = [
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(u + 1, n + 1)
-        if v > m  # u < v, so the pair lies inside {1..m} exactly when v <= m
-    ]
-    return from_vertices_and_edges(range(1, n + 1), pairs)
+    # u < v, so the pair lies inside {1..m} exactly when v <= m.
+    return from_edge_list(n, (pair for pair in combinations(range(1, n + 1), 2) if pair[1] > m))
 
 
 def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> LabelledGraph:
     """Graph on labels 1..n with exactly the given edges, deduplicated.
 
-    Out-of-range labels and self-loops are malformed input.
+    Out-of-range labels and self-loops are malformed input, refused as the
+    pair that holds one is drawn.
     """
     _check_count(n)
-    checked = []
-    for u, v in pairs:
+    return from_vertices_and_edges(range(1, n + 1), _in_range(n, pairs))
+
+
+def _in_range(n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """``pairs`` as they are drawn, each refused if a label is outside 1..n."""
+    for pair in pairs:
+        u, v = pair
         if not (1 <= u <= n) or not (1 <= v <= n):
             raise MalformedInputError(f"edge {{{u},{v}}} has a label outside 1..{n}")
-        checked.append((u, v))
-    return from_vertices_and_edges(range(1, n + 1), checked)
+        yield pair
 
 
 def delete_vertex(g: LabelledGraph, v: int) -> LabelledGraph:
@@ -265,9 +257,10 @@ def mask_connected(mask: int, adj: Sequence[int]) -> bool:
     return reached == mask
 
 
-def is_connected_induced(g: LabelledGraph, s: VertexSetLike) -> bool:
-    """True iff the subgraph induced by the nonempty vertex set s is connected."""
-    mask = as_vertex_mask(s)
+def is_connected_induced(g: LabelledGraph, s: int | Iterable[int]) -> bool:
+    """True iff the subgraph induced by the nonempty vertex set s, a bitset or
+    labels, is connected."""
+    mask = s if isinstance(s, int) else label_mask(s)
     if mask == 0:
         raise InvalidParametersError("the empty set induces no subgraph")
     if mask & ~g.vertex_mask:

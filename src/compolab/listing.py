@@ -1,8 +1,9 @@
 """The ``enumerate`` command: every composition of a graph file, one per line.
 
 ``cli`` imports this module when the command runs.  The file is read a line
-at a time into one adjacency bitset per label, so no text or edge list is
-held whatever its length.  The lines are rendered from the walker's block
+at a time, and ``graphs.from_edge_list`` sets each edge line's pair in one
+adjacency bitset per label as it draws it, so no text or edge list is held
+whatever its length.  The lines are rendered from the walker's block
 bitsets, so no ``Partition`` or ``Composition`` object is built and the
 object layer (``partitions``) is never loaded, and they are written as their
 text reaches a fixed number of bytes.
@@ -16,7 +17,8 @@ from collections.abc import Iterable, Iterator
 
 from . import enumeration, graphs
 from .cli import EXIT_OK, Args
-from .errors import InvalidParametersError, MalformedInputError, _cut, _significant, read_lines
+from .errors import (InvalidParametersError, MalformedInputError, _cut, _significant, data_lines,
+                     read_lines)
 
 # int() takes time quadratic in a token's digits, so the parser refuses a
 # label or count with more significant digits than MAX_LABEL before reading it.
@@ -28,33 +30,27 @@ def parse_graph_file(lines: str | Iterable[str]) -> graphs.LabelledGraph:
 
     Lines starting with "#" and blank lines are ignored.  The first data line
     is ``n <count>``; each following data line is one edge ``u v`` (1-based).
-    Each line is checked as it is read, the count and each edge included, and
-    its edge is set in one neighbor bitset per label.
+    The count is checked as its line is read, and each edge line is read as
+    ``graphs.from_edge_list`` draws its pair, which checks it.
     """
     if isinstance(lines, str):
         lines = io.StringIO(lines, newline=None)  # cut into lines as a file is read
-    n: int | None = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if n is None:
-            header = MalformedInputError(f"line {lineno}: expected 'n <count>', got {_cut(line)!r}")
-            if len(fields) != 2 or fields[0] != "n" or not fields[1].isdigit():
-                raise header
-            count = _significant(fields[1])
-            if len(count) > _DIGITS:
-                raise InvalidParametersError(
-                    f"n = {_cut(count)} is above the largest supported vertex count, "
-                    f"{graphs.MAX_LABEL}")
-            try:
-                n = int(fields[1])
-            except ValueError:  # isdigit() also passes digits int() rejects, like "²"
-                raise header from None
-            graphs._check_count(n)
-            adj = [0] * (n + 1)
-            continue
+    rows = data_lines(lines)
+    for lineno, line, fields in rows:
+        if len(fields) != 2 or fields[0] != "n" or not fields[1].isdecimal():
+            raise MalformedInputError(f"line {lineno}: expected 'n <count>', got {_cut(line)!r}")
+        count = _significant(fields[1])
+        if len(count) > _DIGITS:
+            raise InvalidParametersError(
+                f"n = {_cut(count)} is above the largest supported vertex count, "
+                f"{graphs.MAX_LABEL}")
+        return graphs.from_edge_list(int(fields[1]), _edges(rows))
+    raise MalformedInputError("missing 'n <count>' header line")
+
+
+def _edges(rows: Iterator[tuple[int, str, list[str]]]) -> Iterator[tuple[int, int]]:
+    """The pair ``(u, v)`` of each edge line, each line checked as it is drawn."""
+    for lineno, line, fields in rows:
         if len(fields) != 2:
             raise MalformedInputError(f"line {lineno}: expected 'u v', got {_cut(line)!r}")
         for label in fields:
@@ -68,15 +64,7 @@ def parse_graph_file(lines: str | Iterable[str]) -> graphs.LabelledGraph:
             raise MalformedInputError(
                 f"line {lineno}: expected integer labels, got {_cut(line)!r}"
             ) from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise MalformedInputError(f"edge {{{u},{v}}} has a label outside 1..{n}")
-        if u == v:
-            raise MalformedInputError(f"self-loop at label {u}")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    if n is None:
-        raise MalformedInputError("missing 'n <count>' header line")
-    return graphs.LabelledGraph(graphs.label_mask(range(1, n + 1)), tuple(adj))
+        yield u, v
 
 
 class _BlockText(dict):

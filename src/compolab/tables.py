@@ -28,7 +28,7 @@ from .cli import (
 )
 from .closedform import MemoStore
 from .errors import (InvalidParametersError, MalformedInputError, ResourceLimitError, _cut,
-                     _significant, check_cap, read_lines)
+                     _significant, check_cap, data_lines, read_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +209,7 @@ def _bfile_lines(lines: Iterable[str]) -> Iterator[list[str]]:
     lines, past '#' comments and blank lines, each checked as int() reads it
     (a sign, digits of any script, single underscores between them) but not
     converted."""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for lineno, line, fields in data_lines(lines):
         if len(fields) != 2:
             raise MalformedInputError(f"line {lineno}: expected 'index value', got {_cut(line)!r}")
         for token in fields:

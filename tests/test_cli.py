@@ -27,7 +27,7 @@ from compolab.closedform import (
     comp_count_recursive,
 )
 from compolab.enumeration import compositions
-from compolab.errors import _CHUNK, MAX_LINE, CompolabError, MalformedInputError, read_lines
+from compolab.errors import MAX_LINE, CompolabError, MalformedInputError, read_lines
 from compolab.graphs import complete, from_vertices_and_edges
 from compolab.numtheory import bell_numbers
 
@@ -1016,10 +1016,11 @@ def test_parse_bfile_comments_and_values(tmp_path, capsys):
 
 
 def test_read_lines_cuts_and_bounds_lines(tmp_path):
-    # Lines end at "\n", "\r" or "\r\n" (one split across two reads too), and
-    # a byte-order mark is dropped.
+    # Lines end at "\n", "\r" or "\r\n" (one split across the text layer's
+    # decode blocks of io.DEFAULT_BUFFER_SIZE bytes too), and a byte-order mark
+    # is dropped.  The "\r" is byte 13 + width of the file.
     path = tmp_path / "lines.txt"
-    for width in range(_CHUNK - 12, _CHUNK - 6):
+    for width in range(io.DEFAULT_BUFFER_SIZE - 17, io.DEFAULT_BUFFER_SIZE - 11):
         path.write_bytes("\ufeffa\r\nb\rc\n\n\x0cd".encode() + b"x" * width + b"\r\ny")
         assert list(read_lines(str(path))) == ["a", "b", "c", "", "\x0cd" + "x" * width, "y"]
     # A line may hold MAX_LINE characters; a longer one is refused by number.
@@ -1029,7 +1030,7 @@ def test_read_lines_cuts_and_bounds_lines(tmp_path):
     with pytest.raises(MalformedInputError, match=f"line 2 is longer than {MAX_LINE} "):
         list(read_lines(str(path)))
     # Each fault is found as the reading reaches it.
-    path.write_bytes(b"n 3\n" + b"1 2\n" * _CHUNK + b"\xff\n")
+    path.write_bytes(b"n 3\n" + b"1 2\n" * io.DEFAULT_BUFFER_SIZE + b"\xff\n")
     lines = read_lines(str(path))
     assert next(lines) == "n 3"
     with pytest.raises(MalformedInputError, match="cannot read .*can't decode byte 0xff"):

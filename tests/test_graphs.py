@@ -13,6 +13,7 @@ from compolab import (
     complete_minus_clique,
     delete_vertex,
     from_edge_list,
+    from_vertices_and_edges,
     is_connected_induced,
     parse_graph_file,
 )
@@ -67,6 +68,18 @@ def test_from_edge_list():
         from_edge_list(3, [(1, 4)])
     with pytest.raises(MalformedInputError):
         from_edge_list(3, [(0, 2)])
+
+    # Each pair is checked as it is drawn: a self-loop is refused before the
+    # next pair is asked for.
+    def pairs():
+        yield 1, 2
+        yield 3, 3
+        raise AssertionError("drew past the self-loop")
+
+    with pytest.raises(MalformedInputError, match="self-loop at label 3"):
+        from_edge_list(3, pairs())
+    with pytest.raises(MalformedInputError, match="self-loop at label 3"):
+        from_vertices_and_edges(range(1, 4), pairs())
 
 
 def test_is_connected_induced_examples():
@@ -195,6 +208,7 @@ def test_parse_graph_file_cuts_what_it_echoes():
         "n 3\nx y\n",  # non-integer edge
         "n -2\n",  # negative count
         "n \u00b2\n",  # a digit to isdigit() that int() rejects
+        "n \u00b2\u00b2\u00b2\n",  # three of them: a malformed header, not a count above 64
         "n 2\n1 1\n",  # self-loop
         "n 2\n1 3\n",  # out of range
     ],

@@ -70,6 +70,8 @@ def _loaded(*argv: str) -> tuple[list[str], set[str]]:
 def test_commands_import_only_the_modules_they_run(tmp_path):
     graph = tmp_path / "k3.graph"
     graph.write_text("n 3\n1 2\n2 3\n1 3\n")
+    reference = tmp_path / "rowsum.b"
+    reference.write_text("# row sums\n0 1\n1 2\n2 5\n3 15\n")
     brute = ["--method", "brute"]
     # A brute-force count builds no Partition, so no command below loads the
     # object layer; a brute statistic reads no graph; and --workers at the CPU
@@ -96,6 +98,8 @@ def test_commands_import_only_the_modules_they_run(tmp_path):
         (("table", "comp", "--max-n", "5"), "  5 |  52  52  47  35  16   1", set()),
         (("verify", "rowsum", "--n-max", "3"), "rowsum: 4/4 identities hold", set()),
         (("bfile", "rowsum", "--range", "0..3"), "3 15", set()),
+        # A reference is split by the code graph files use, yet loads no graph code.
+        (("bfile", "rowsum", "--range", "0..3", "--compare", str(reference)), "3 15", set()),
         (("table", "k1", "--max-n", "5", *brute), "  5 |  11  15  10   7   5   4",
          {"enumeration"}),
         (("verify", "k1", "--n-max", "3"), "k1: 9/9 identities hold", {"enumeration"}),
