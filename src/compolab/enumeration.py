@@ -18,8 +18,9 @@ last label in each block and alone, and scores the last two labels of each
 placement from a packed sum of per-block weights, once per distinct sum.
 Each placement is still decided from the blocks and the connectivity table
 alone — no closed forms are consulted here, so these routines can serve as
-independent oracles for them.  A cap (default 12), checked before the row
-cache is read, guards against Bell(20)-scale runs.  ``_composition_states``
+independent oracles for them.  ``errors.check_cap``, run at every entry
+point before the row cache is read or a connectivity table built, holds n
+to the cap (default 12) and to 20 whatever the cap.  ``_composition_states``
 walks Bell(n - 1) partitions and places the last label where every block
 stays connected.
 
@@ -38,7 +39,7 @@ from functools import lru_cache
 from itertools import chain
 
 from . import _EXPORTS
-from .errors import BRUTE_FORCE_CAP, InvalidParametersError, ResourceLimitError, check_cap
+from .errors import BRUTE_FORCE_CAP, InvalidParametersError, check_cap
 
 TYPE_CHECKING = False  # the typing module's constant, without loading typing
 if TYPE_CHECKING:
@@ -53,13 +54,6 @@ def __getattr__(name: str):
 
     value = globals()[name] = getattr(partitions, name)
     return value
-
-
-# Largest vertex count whose connectivity table is built, whatever the cap: at
-# 20 vertices the table takes 0.2-0.7 s on one core (a path 0.23 s, K20 - K10
-# 0.57 s, K20 0.67 s) and 1 MiB, with 4 MiB of scratch while it is built, and
-# a walk over Bell(17) or more partitions would never end anyway.
-_TABLE_MAX_N = 20
 
 
 _State = tuple[list[int], list[int]]  # the walker's (rgs, blocks), see _block_stream
@@ -161,14 +155,6 @@ def _position_adjacency(g: LabelledGraph) -> list[int]:
     return [sum(1 << i for i, u in enumerate(labels) if g.adj[v] >> u & 1) for v in labels]
 
 
-def _check_table_size(n: int) -> None:
-    if n > _TABLE_MAX_N:
-        raise ResourceLimitError(
-            f"{n} vertices need a connectivity table of 2**{n} entries, above the "
-            f"limit of 2**{_TABLE_MAX_N} whatever the brute-force cap"
-        )
-
-
 def _connectivity_table(padj: list[int]) -> bytearray:
     """conn[mask] = 1 iff the nonempty set of positions in mask induces a
     connected subgraph; conn[0] is 0.
@@ -180,9 +166,9 @@ def _connectivity_table(padj: list[int]) -> bytearray:
     reach[r] with every other component of r it touches; each is reach[rest],
     where rest is r with whole components taken out, so it is already known
     and is one component.  reach holds 4 << n bytes of scratch, freed on return.
+    Both callers run ``check_cap`` first, so n is at most ``MAX_BRUTE_N``.
     """
     n = len(padj)
-    _check_table_size(n)
     conn = bytearray(1 << n)
     reach = memoryview(bytearray(4 << n)).cast("I")
     for h, near in enumerate(padj):
@@ -219,7 +205,7 @@ def _count_extensions(n: int, conn: Sequence[int]) -> int:
     # One sum over a partition's blocks adds all these terms at once, packed in
     # 8-bit fields: a connected block adds a + b + c − ab, a and b at bits 0, 8
     # and 16; a disconnected one adds a + b + c, a, b, ab and 1 at bits 24, 32,
-    # 40, 48 and 56.  The table stops at 20 vertices, so no field reaches 256.
+    # 40, 48 and 56.  check_cap stops n at 20, so no field reaches 256.
     p = 1 << (n - 2)
     weights = [
         a + b + c - a * b | a << 8 | b << 16 if whole

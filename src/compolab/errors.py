@@ -1,11 +1,11 @@
-"""Exception types shared across the package, the brute-force cap behind
+"""Exception types shared across the package, the brute-force bounds behind
 ``ResourceLimitError``, and what the input parsers share: the reader of their
 files' lines, the splitter of their data lines, and the cut of what a message
 echoes.
 
-The cap and its check live here, not in ``enumeration``, so that the command
-line can show the cap in its help, and refuse a table over it, without
-loading the enumeration code.
+The bounds and their one check, ``check_cap``, live here, not in
+``enumeration``, so that the command line can show the cap in its help, and
+refuse a table or a suite over a bound, without loading the enumeration code.
 """
 
 from __future__ import annotations
@@ -14,6 +14,12 @@ from collections.abc import Iterable, Iterator
 
 # Largest vertex count a brute-force enumeration runs without an explicit cap.
 BRUTE_FORCE_CAP = 12
+
+# Largest vertex count any brute-force walk takes, whatever the cap: at 20
+# vertices a connectivity table takes 0.2-0.7 s on one core (a path 0.23 s,
+# K20 - K10 0.57 s, K20 0.67 s) and 1 MiB, with 4 MiB of scratch while it is
+# built, and a walk over Bell(17) or more partitions would never end anyway.
+MAX_BRUTE_N = 20
 
 
 class CompolabError(Exception):
@@ -29,7 +35,7 @@ class MalformedInputError(CompolabError, ValueError):
 
 
 class ResourceLimitError(CompolabError, RuntimeError):
-    """A brute-force request exceeds the enumeration cap or the connectivity table's bound."""
+    """A brute-force request walks more vertices than the cap or ``MAX_BRUTE_N``."""
 
 
 class InconsistentResultError(CompolabError, ValueError):
@@ -37,14 +43,18 @@ class InconsistentResultError(CompolabError, ValueError):
 
 
 def check_cap(n: int, cap: int | None) -> None:
-    """Raise ``ResourceLimitError`` when n vertices exceed ``cap``, or
-    ``BRUTE_FORCE_CAP`` when ``cap`` is None."""
+    """Raise ``ResourceLimitError`` when n vertices exceed ``cap`` (or
+    ``BRUTE_FORCE_CAP`` when ``cap`` is None), or ``MAX_BRUTE_N`` whatever the
+    cap.  This is the one comparison of a vertex count with a brute bound."""
     limit = BRUTE_FORCE_CAP if cap is None else cap
     if n > limit:
         raise ResourceLimitError(
             f"{n} vertices exceeds the brute-force cap of {limit} "
             f"(pass a higher cap explicitly to proceed)"
         )
+    if n > MAX_BRUTE_N:
+        raise ResourceLimitError(f"{n} vertices exceeds the brute-force limit of {MAX_BRUTE_N}, "
+                                 "which no cap raises")
 
 
 # Longest line an input file may hold, in characters: above the
@@ -60,14 +70,24 @@ def read_lines(path: str) -> Iterator[str]:
     try:
         with open(path, encoding="utf-8-sig") as handle:  # reads "\r" and "\r\n" as "\n"
             lineno = 0
-            while line := handle.readline(MAX_LINE + 1):
-                lineno += 1
-                if len(line) > MAX_LINE and line[-1] != "\n":
-                    raise MalformedInputError(
-                        f"cannot read {path}: line {lineno} is longer than {MAX_LINE} "
-                        "characters")
-                yield line.removesuffix("\n")
-    except (OSError, UnicodeDecodeError) as exc:
+            try:
+                while line := handle.readline(MAX_LINE + 1):
+                    lineno += 1
+                    if len(line) > MAX_LINE and line[-1] != "\n":
+                        raise MalformedInputError(
+                            f"cannot read {path}: line {lineno} is longer than {MAX_LINE} "
+                            "characters")
+                    yield line.removesuffix("\n")
+            except UnicodeDecodeError as exc:
+                # exc counts from the block it decoded, the last bytes read:
+                # count from the start of the file.
+                at = handle.buffer.tell() - len(exc.object)
+                first, last = at + exc.start, at + exc.end - 1
+                what = (f"byte 0x{exc.object[exc.start]:02x} in position {first}" if first == last
+                        else f"bytes in position {first}-{last}")
+                raise MalformedInputError(f"cannot read {path}: '{exc.encoding}' codec can't "
+                                          f"decode {what}: {exc.reason}") from exc
+    except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
 
 

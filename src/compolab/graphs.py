@@ -164,7 +164,7 @@ def from_vertices_and_edges(
     for u, v in pairs:
         if u == v:
             raise MalformedInputError(f"self-loop at label {u}")
-        if not (mask >> u) & 1 or not (mask >> v) & 1:
+        if not (0 < u and 0 < v and mask >> u & mask >> v & 1):  # no shift by a negative label
             raise MalformedInputError(f"edge {{{u},{v}}} has an endpoint outside the vertex set")
         adj[u] |= 1 << v
         adj[v] |= 1 << u

@@ -7,7 +7,8 @@ built there by the constructor of its calling convention (a closed form, a
 brute statistic or a number primitive); a route and every other call here
 goes through the module, so a tracer that rebinds a module's functions sees
 every call.  ``verify`` reads one record per suite from ``_SUITES``: its
-checks, its brute offset and whether it builds graphs.  The agreement suites
+checks and its brute offset, by which ``_check_walks`` refuses, before any
+cell, what ``errors.check_cap`` would refuse mid-run.  The agreement suites
 are records built by ``_agreement``, and take their kind's routes as they run.
 """
 
@@ -27,7 +28,7 @@ from .cli import (
     _select_route,
 )
 from .closedform import MemoStore
-from .errors import (InvalidParametersError, MalformedInputError, ResourceLimitError, _cut,
+from .errors import (MAX_BRUTE_N, InvalidParametersError, MalformedInputError, _cut,
                      _significant, check_cap, data_lines, read_lines)
 
 
@@ -74,12 +75,10 @@ def _write_table(rows: Iterator[list[str]], fmt: str, first: int, max_n: int,
             write(f"{str(n).rjust(width)} | {' '.join(value.rjust(width) for value in row)}\n")
 
 
-def _check_graphs(n_max: int) -> None:
-    """Refuse, before any cell, brute graph work on more vertices than a
-    connectivity table holds, naming the first graph over the limit."""
-    from .enumeration import _TABLE_MAX_N, _check_table_size
-
-    _check_table_size(min(n_max, _TABLE_MAX_N + 1))
+def _check_walks(largest: int, cap: int) -> None:
+    """Refuse, before any cell, brute walks up to ``largest`` vertices that
+    pass a bound, naming the first vertex count over it."""
+    check_cap(min(largest, min(cap, MAX_BRUTE_N) + 1), cap)
 
 
 def cmd_table(args: Args) -> int:
@@ -90,11 +89,7 @@ def cmd_table(args: Args) -> int:
         )
     method, _, route = _select_route(args)
     if method == "brute":
-        # Refuse before any cell, naming the first row over the cap.
-        if args.max_n > args.max_brute_n:
-            check_cap(max(first, args.max_brute_n + 1), args.max_brute_n)
-        if args.kind == "comp":
-            _check_graphs(args.max_n)
+        _check_walks(args.max_n, args.max_brute_n)
     _write_table(_table_rows(args, first, route), args.format, first, args.max_n, method)
     return EXIT_OK
 
@@ -152,30 +147,24 @@ def _agreement(kind: str, first_n: int, first_m: int, extra=lambda store, n, m: 
     return checks
 
 
-# suite -> (checks, brute offset or None, builds graphs).  checks(n_max, args,
-# store) returns the (line, passed) pairs; the offset is how many vertices past
-# n_max the suite's brute terms enumerate (None: it has none); the suites that
-# build graphs are refused over the connectivity table's bound before any cell.
-_SUITES: dict[str, tuple[Callable, int | None, bool]] = {
-    "rowsum": (_verify_rowsum, None, False),
-    "threeway": (_agreement("comp", 0, 0), 0, True),
-    "bijection": (_verify_bijection, 1, True),
-    "k1": (_agreement("k1", 1, 0), 0, False),
+# suite -> (checks, brute offset or None).  checks(n_max, args, store) returns
+# the (line, passed) pairs; the offset is how many vertices past n_max the
+# suite's brute terms enumerate (None: it has none).
+_SUITES: dict[str, tuple[Callable, int | None]] = {
+    "rowsum": (_verify_rowsum, None),
+    "threeway": (_agreement("comp", 0, 0), 0),
+    "bijection": (_verify_bijection, 1),
+    "k1": (_agreement("k1", 1, 0), 0),
     "reflection": (_agreement("minimax", 1, 1, lambda store, n, m: [
         ("reflected-maximin", closedform.maximin_count_formula(n, n + 1 - m, memo=store)),
-    ]), 0, False),
+    ]), 0),
 }
 
 
 def cmd_verify(args: Args) -> int:
-    suite, offset, builds_graphs = _SUITES[args.suite]
-    if offset is not None and args.n_max + offset > args.max_brute_n:
-        raise ResourceLimitError(
-            f"suite {args.suite!r} with --n-max {args.n_max} would enumerate "
-            f"{args.n_max + offset} vertices, above the brute-force cap of {args.max_brute_n}"
-        )
-    if builds_graphs:
-        _check_graphs(args.n_max)
+    suite, offset = _SUITES[args.suite]
+    if offset is not None:
+        _check_walks(args.n_max + offset, args.max_brute_n)
     checks = suite(args.n_max, args, MemoStore())
     failures = 0
     for description, passed in checks:

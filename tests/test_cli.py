@@ -13,6 +13,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -162,26 +163,13 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
     for kind in ("comp", "k1"):
         cases.append((["table", kind, "--method", "brute", "--max-n", str(10**6)], 3,
                       "13 vertices exceeds the brute-force cap"))
-    for suite, walked in (("threeway", 10**6), ("bijection", 10**6 + 1), ("k1", 10**6),
-                          ("reflection", 10**6)):
+    for suite in ("threeway", "bijection", "k1", "reflection"):
         cases.append((["verify", suite, "--n-max", str(10**6)], 3,
-                      f"would enumerate {walked} vertices"))
+                      "13 vertices exceeds the brute-force cap"))
     # Left out until the exact routes get cost caps: each runs far past the
     # timeout, though none allocates past the limit at once.
     #   value bell -n 100000;  verify rowsum --n-max 1000000;
     #   bfile rowsum --range 1000..1001;  table comp --max-n 1000000 (explicit)
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-
-    def run_limited(argv):
-        return subprocess.run([sys.executable, "-m", "compolab.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=60, preexec_fn=limit)
-
-    for argv, code, message, *out in cases:
-        done = run_limited(argv)
-        assert (done.returncode, done.stdout) == (code, "".join(out)), (argv, done.stderr)
-        assert done.stderr.count("\n") == 1 and message in done.stderr, argv
-        assert len(done.stderr) < 200, argv
-        assert "Traceback" not in done.stderr, argv
     # Files are read a line at a time, so two million lines (8 MB of text)
     # fit under the limit: the graph file's edges are kept as bitsets, and
     # the b-file reference keeps one entry per index.
@@ -190,11 +178,41 @@ def test_huge_sizes_are_refused_before_allocating(tmp_path):
     many.write_text("n 2\n" + "1 2\n" * lines)
     reference = tmp_path / "many.b"
     reference.write_text("0 1\n" + "1 2\n" * (lines - 1))
-    for argv, out in ((["enumerate", str(many)], "{1,2}\n{1}|{2}\n"),
-                      (["bfile", "rowsum", "--range", "0..1", "--compare", str(reference)],
-                       "0 1\n1 2\n")):
-        done = run_limited(argv)
-        assert (done.returncode, done.stdout, done.stderr) == (0, out, ""), argv
+    long_reads = [(["enumerate", str(many)], "{1,2}\n{1}|{2}\n"),
+                  (["bfile", "rowsum", "--range", "0..1", "--compare", str(reference)],
+                   "0 1\n1 2\n")]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+    def wait(children):
+        out, err = children[0].communicate(timeout=60)
+        return children.popleft().returncode, out, err
+
+    def run_limited(argvs):
+        """Each argv's (exit code, stdout, stderr), in order.  The children are
+        independent, so each starts before the one ahead of it is awaited: two
+        run at a time.  A child left running when the caller stops is killed."""
+        children = deque()
+        try:
+            for argv in argvs:
+                children.append(subprocess.Popen(
+                    [sys.executable, "-m", "compolab.cli", *argv], env=env, text=True,
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=limit))
+                if len(children) == 2:
+                    yield wait(children)
+            while children:
+                yield wait(children)
+        finally:
+            for child in children:
+                child.kill()
+
+    done = run_limited([argv for argv, *_ in cases + long_reads])
+    for (argv, code, message, *out), (returncode, stdout, stderr) in zip(cases, done):
+        assert (returncode, stdout) == (code, "".join(out)), (argv, stderr)
+        assert stderr.count("\n") == 1 and message in stderr, argv
+        assert len(stderr) < 200, argv
+        assert "Traceback" not in stderr, argv
+    for (argv, out), result in zip(long_reads, done, strict=True):
+        assert result == (0, out, ""), argv
 
 
 def test_negative_brute_cap_is_a_usage_error(capsys):
@@ -495,6 +513,22 @@ def test_table_brute_over_the_cap_exits_3_before_any_cell(monkeypatch, capsys, k
                    "(pass a higher cap explicitly to proceed)\n")
 
 
+def test_brute_statistics_over_20_vertices_exit_3_before_any_walk(monkeypatch, capsys):
+    # The limit of 20 vertices binds the brute statistics too, whatever the
+    # cap: unrefused, each run would walk Bell(19) partitions or more, so the
+    # walker raises instead.
+    def never(n):
+        raise AssertionError(f"a walk over {n} positions started")
+
+    monkeypatch.setattr(enumeration, "_block_stream", never)
+    message = "error: 21 vertices exceeds the brute-force limit of 20, which no cap raises\n"
+    brute = ["--method", "brute", "--max-brute-n", "25"]
+    for kind, cell in (("minimax", ["-m", "1"]), ("kj", ["-m", "0", "-j", "2"]),
+                       ("k1", ["-m", "0"])):
+        assert run(capsys, "value", kind, "-n", "21", *cell, *brute) == (3, "", message), kind
+    assert run(capsys, "table", "k1", "--max-n", "21", *brute) == (3, "", message)
+
+
 def test_table_k1_rejects_paper_literal(capsys):
     code, out, _ = run(capsys, "table", "k1", "--max-n", "4", "--paper-literal")
     assert code == 2 and out == ""
@@ -510,14 +544,13 @@ def test_table_k1_rejects_paper_literal(capsys):
 
 
 def test_brute_graphs_over_20_vertices_are_refused_before_any_cell():
-    # A raised cap does not lift the connectivity table's limit: a brute comp
-    # table, or a threeway or bijection suite, whose graphs reach 21 vertices
-    # exits 3 at once with nothing on stdout, naming the first graph over the
+    # A raised cap does not lift the limit of 20 vertices: a brute comp
+    # table, or a threeway or bijection suite, whose walks reach 21 vertices
+    # exits 3 at once with nothing on stdout, naming the first count over the
     # limit.  Unrefused, its first cells would walk Bell(11) to Bell(18)
     # partitions, and a streamed table would print rows before failing.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    message = ("error: 21 vertices need a connectivity table of 2**21 entries, above the "
-               "limit of 2**20 whatever the brute-force cap\n")
+    message = "error: 21 vertices exceeds the brute-force limit of 20, which no cap raises\n"
     for argv in (["table", "comp", "--method", "brute", "--max-n", "21"],
                  ["table", "comp", "--method", "brute", "--max-n", "24", "--format", "csv"],
                  ["verify", "threeway", "--n-max", "21"],
@@ -757,8 +790,8 @@ def test_verify_brute_suite_respects_cap(monkeypatch, capsys):
     for suite, n_max, vertices in (("threeway", 13, 13), ("k1", 13, 13),
                                    ("reflection", 13, 13), ("bijection", 12, 13)):
         assert run(capsys, "verify", suite, "--n-max", str(n_max)) == (
-            3, "", f"error: suite {suite!r} with --n-max {n_max} would enumerate "
-                   f"{vertices} vertices, above the brute-force cap of 12\n")
+            3, "", f"error: {vertices} vertices exceeds the brute-force cap of 12 "
+                   "(pass a higher cap explicitly to proceed)\n")
     assert walks == []
     code, out, _ = run(capsys, "verify", "rowsum", "--n-max", "13")
     assert code == 0 and out.endswith("rowsum: 14/14 identities hold\n")
@@ -917,12 +950,12 @@ def test_enumerate_cap(tmp_path, capsys):
     f = tmp_path / "big.graph"
     f.write_text("n 13\n")
     assert run(capsys, "enumerate", str(f))[0] == 3
-    # Above 20 vertices the connectivity table is refused whatever the cap.
+    # Above 20 vertices a walk is refused whatever the cap.
     f = tmp_path / "path21.graph"
     f.write_text("n 21\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 21)))
     code, out, err = run(capsys, "enumerate", str(f), "--max-brute-n", "30")
     assert code == 3 and out == ""
-    assert err.count("\n") == 1 and "2**21" in err and "Traceback" not in err
+    assert err.count("\n") == 1 and "brute-force limit of 20" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -1035,6 +1068,15 @@ def test_read_lines_cuts_and_bounds_lines(tmp_path):
     assert next(lines) == "n 3"
     with pytest.raises(MalformedInputError, match="cannot read .*can't decode byte 0xff"):
         list(lines)
+    # The position it names is the byte's offset in the file, a byte-order
+    # mark included, past the first decode block (5,000 lines of "0 1" are
+    # 20,000 bytes) and inside it.
+    for mark in (b"", b"\xef\xbb\xbf"):
+        for lines in (5000, 10):
+            path.write_bytes(mark + b"0 1\n" * lines + b"\xff\n")
+            with pytest.raises(MalformedInputError, match=f"byte 0xff in position "
+                                                          f"{len(mark) + 4 * lines}: invalid"):
+                list(read_lines(str(path)))
 
 
 def test_bfile_tokens_are_checked_as_int_reads_them(tmp_path, capsys):

@@ -58,8 +58,9 @@ def _argv(rng, files) -> list[str]:
         return ["verify", suite, "--n-max", _number(rng, high=6)] + _options(rng)
     if command == "enumerate":
         path = rng.choice(files["graph"])
-        # A raised cap only on the file too wide for the connectivity table:
-        # on big.graph (13 isolated vertices) it would walk Bell(13) partitions.
+        # A raised cap only on the file over the brute-force limit of 20
+        # vertices, which no cap raises: on big.graph (13 isolated vertices)
+        # it would walk Bell(13) partitions.
         if path == files["wide"] and rng.random() < 0.5:
             return ["enumerate", path, "--max-brute-n", "64"]
         return ["enumerate", path] + _options(rng, workers=False)

@@ -180,13 +180,29 @@ def test_cap_guards_enumeration():
     with pytest.raises(ResourceLimitError):
         composition_count_brute(complete(6), cap=5)
     assert composition_count_brute(complete(6), cap=6) == bell(6)
-    # Above 20 vertices the connectivity table is refused whatever the cap,
-    # by the call itself, before any next().
+    # Above 20 vertices a walk is refused whatever the cap, by the call
+    # itself, before any next().
     path21 = from_edge_list(21, [(v, v + 1) for v in range(1, 21)])
-    with pytest.raises(ResourceLimitError, match=r"2\*\*21"):
+    with pytest.raises(ResourceLimitError, match="brute-force limit of 20"):
         compositions(path21, cap=30)
-    with pytest.raises(ResourceLimitError, match=r"2\*\*21"):
+    with pytest.raises(ResourceLimitError, match="brute-force limit of 20"):
         composition_count_brute(path21, cap=30)
+
+
+def test_streams_over_20_labels_are_refused_at_the_call(monkeypatch):
+    # Whatever the cap, a partition stream over more than 20 labels is refused
+    # by the call itself, before any next(); unrefused, its walk would never
+    # end, so the walker raises instead.
+    from compolab import partitions
+
+    def never(n):
+        raise AssertionError(f"a walk over {n} positions started")
+
+    monkeypatch.setattr(partitions, "_block_stream", never)
+    with pytest.raises(ResourceLimitError, match="brute-force limit of 20"):
+        set_partitions(21, cap=30)
+    with pytest.raises(ResourceLimitError, match="brute-force limit of 20"):
+        partitions_of(range(1, 22), cap=30)
 
 
 def test_connectivity_table_matches_is_connected_induced_at_16_vertices():

@@ -68,6 +68,8 @@ def test_from_edge_list():
         from_edge_list(3, [(1, 4)])
     with pytest.raises(MalformedInputError):
         from_edge_list(3, [(0, 2)])
+    with pytest.raises(MalformedInputError):  # not a negative shift count
+        from_vertices_and_edges([], [(-1, 3)])
 
     # Each pair is checked as it is drawn: a self-loop is refused before the
     # next pair is asked for.
