@@ -29,7 +29,7 @@ _EXPORTS = {
         "minimax_count_formula",
         "row_sum",
     ),
-    "enumeration": ("composition_count_brute", "kj_count_brute", "minimax_count_brute"),
+    "enumeration": ("composition_count_brute",),
     "errors": (
         "BRUTE_FORCE_CAP",
         "CompolabError",
@@ -61,8 +61,12 @@ _EXPORTS = {
         "partitions_of",
         "set_partitions",
     ),
+    "reading": (),
+    "stats": ("kj_count_brute", "minimax_count_brute"),
+    "suites": (),
     "tables": (),
     "usage": (),
+    "walker": (),
 }
 
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

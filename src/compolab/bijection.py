@@ -16,7 +16,7 @@ from functools import reduce
 from operator import or_
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .enumeration import _block_stream, _composition_states
+from .enumeration import _composition_states
 from .errors import InvalidParametersError, check_cap
 from .graphs import (
     LabelledGraph,
@@ -26,6 +26,7 @@ from .graphs import (
     mask_connected,
     mask_labels,
 )
+from .walker import _block_stream
 
 if TYPE_CHECKING:  # the maps load the object layer when they run; verify_row never does
     from .partitions import Partition

@@ -7,11 +7,13 @@ out of memory.
 Each command is one fresh process, so start-up counts, and a command loads
 only the code it runs.  This module holds the command grammar (``COMMANDS``)
 and its parser, ``main``, the route table and the ``value`` command.
-``table``, ``verify`` and ``bfile`` live in ``tables`` and ``enumerate`` in
-``listing``.  Every route and command reads ``compolab.<module>.<name>`` when
-it runs: the package's PEP 562 hook imports the module on the first read, and
-the import binds it on the package, so each later read is a plain attribute
-lookup.  ``json`` loads only for JSON output.
+``table`` and ``bfile`` live in ``tables``, ``verify`` in ``suites`` and
+``enumerate`` in ``listing``; the brute routes call ``enumeration`` (the
+composition count) and ``stats`` (the minimax statistics).  Every route and
+command reads ``compolab.<module>.<name>`` when it runs: the package's PEP
+562 hook imports the module on the first read, and the import binds it on
+the package, so each later read is a plain attribute lookup.  ``json``
+loads only for JSON output.
 
 A well-formed command line is parsed here, against ``COMMANDS``, into the
 namespace argparse would build.  Help, usage errors and the forms ``_parse``
@@ -64,8 +66,7 @@ def _closed(name: str) -> Route:  # a closed form takes the memo
 
 
 def _brute(name: str, *fixed: int) -> Route:  # a brute statistic takes the cap
-    return lambda a, memo, *cell: getattr(compolab.enumeration, name)(
-        *cell, *fixed, cap=a.max_brute_n)
+    return lambda a, memo, *cell: getattr(compolab.stats, name)(*cell, *fixed, cap=a.max_brute_n)
 
 
 def _number(name: str) -> Route:  # a number primitive takes neither
@@ -99,7 +100,7 @@ _DEFAULT_METHOD = {"comp": "explicit"}
 # Kinds that `table` renders, with the first row of each table.
 _TABLE_FIRST_ROW = {"comp": 0, "k1": 1}
 
-# The suites of `verify`; ``tables._SUITES`` runs them.
+# The suites of `verify`; ``suites._SUITES`` runs them.
 _SUITE_NAMES = ("bijection", "k1", "reflection", "rowsum", "threeway")
 
 
@@ -176,7 +177,7 @@ COMMANDS = {
         _arg("--format", choices=("text", "json"), default="text"),
         *_BRUTE,
     ]),
-    # The other commands' code lives in `tables` and `listing`, loaded as they run.
+    # The other commands' code lives in `tables`, `suites` and `listing`, loaded as they run.
     "table": (lambda args: compolab.tables.cmd_table(args), [
         _arg("kind", choices=sorted(_TABLE_FIRST_ROW)),
         _arg("--max-n", type=int, required=True),
@@ -184,7 +185,7 @@ COMMANDS = {
         *_method_options(_TABLE_FIRST_ROW),
         *_BRUTE,
     ]),
-    "verify": (lambda args: compolab.tables.cmd_verify(args), [
+    "verify": (lambda args: compolab.suites.cmd_verify(args), [
         _arg("suite", choices=_SUITE_NAMES),
         _arg("--n-max", type=int, required=True),
         *_BRUTE,

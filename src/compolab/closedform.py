@@ -18,6 +18,9 @@ Stirling row the store keeps.  The vectors hold Stirling numbers times powers
 of integers and never a comp value, and the recursion never reads them, so
 the explicit and recursive routes still share no values.  A sum with no store
 computes each power as it adds its term, and so holds one term at a time.
+The Stirling and Bell rows are read as ``compolab.numtheory.<name>`` when a
+closed form or the store first needs them, so the recursion alone (as
+``verify bijection`` runs it) loads no ``numtheory``.
 
 It also provides the two partition statistics the identity rests on (minimax:
 smallest per-block maximum; maximin: largest per-block minimum), the
@@ -39,8 +42,9 @@ import operator
 from collections.abc import Iterator
 from itertools import chain, repeat
 
+import compolab
+
 from .errors import InconsistentResultError, InvalidParametersError
-from .numtheory import _bell_from, _stirling_from, stirling_row
 
 
 class MemoStore:
@@ -110,14 +114,14 @@ class MemoStore:
         above it is grown from it, and a row below it is built from row 0."""
         row = self._row
         if len(row) <= d:
-            row = self._row = _stirling_from(row, d)
-        return row if len(row) == d + 1 else _stirling_from((1,), d)
+            row = self._row = compolab.numtheory._stirling_from(row, d)
+        return row if len(row) == d + 1 else compolab.numtheory._stirling_from((1,), d)
 
     def bell_numbers(self, n: int) -> tuple[int, ...]:
         """(B(0), ..., B(n)), from the kept Bell prefix, grown first if too short."""
         bells, row = self._bells
         if len(bells) <= n:
-            bells, row = self._bells = _bell_from(bells, row, n)
+            bells, row = self._bells = compolab.numtheory._bell_from(bells, row, n)
         return bells[: n + 1]
 
     def clear(self) -> None:
@@ -182,7 +186,8 @@ def _weight_terms(row: tuple[int, ...], e: int) -> Iterator[int]:
 def _stirling_power_sum(d: int, e: int, store: MemoStore | None) -> int:
     """sum_{k=1}^{d+1} S(d, k-1) * k^e, from the store's weight vector, or
     with no store, one term at a time."""
-    return sum(_weight_terms(stirling_row(d), e) if store is None else store.weights(d, e))
+    return sum(_weight_terms(compolab.numtheory.stirling_row(d), e) if store is None
+               else store.weights(d, e))
 
 
 def comp_count_explicit(n: int, m: int, memo: MemoStore | None = None) -> int:

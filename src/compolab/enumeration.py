@@ -1,45 +1,34 @@
-"""Brute-force oracles: every count here comes from walking set partitions.
+"""Brute-force counting of graph compositions, by walking set partitions.
 
-Partitions are walked as restricted growth strings (RGS): position i holds
-the block index of the i-th smallest label, block indices appear in order of
-first use, and each entry exceeds every entry before it by at most one.  One
-walker, ``_block_stream``, yields them in lexicographic RGS order with every
-block kept in place as a bitset of positions: ``bit_length`` is a block's
-largest label and ``bit_count`` its size.
+Partitions come from ``walker._block_stream``, each block a bitset of
+positions.  ``_count_extensions`` walks Bell(n - 3) partitions, places the
+third last label in each block and alone, and scores the last two labels of
+each placement from a packed sum of per-block weights, once per distinct sum.
+Each placement is decided from the blocks and the connectivity table alone —
+no closed forms are consulted here, so the count can serve as an independent
+oracle for them.  ``errors.check_cap``, run at every entry point before a
+connectivity table is built, holds n to the cap (default 12) and to 20
+whatever the cap.  ``_composition_states`` walks Bell(n - 1) partitions and
+places the last label where every block stays connected.
 
-The counters walk the partitions of all labels but the last few and score
-the placements of the rest in aggregate.  ``_statistic_row`` walks Bell(n - 2)
-partitions and scores every placement of the last two labels (each alone,
-together, or joined to blocks) from one pass over the blocks: a partition of
-k blocks stands for (k + 2) + k(k + 1) leaves.  One walk scores a whole
-cached row of the size-restricted minimax statistic; minimax is its j = n
-row.  ``_count_extensions`` walks Bell(n - 3) partitions, places the third
-last label in each block and alone, and scores the last two labels of each
-placement from a packed sum of per-block weights, once per distinct sum.
-Each placement is still decided from the blocks and the connectivity table
-alone — no closed forms are consulted here, so these routines can serve as
-independent oracles for them.  ``errors.check_cap``, run at every entry
-point before the row cache is read or a connectivity table built, holds n
-to the cap (default 12) and to 20 whatever the cap.  ``_composition_states``
-walks Bell(n - 1) partitions and places the last label where every block
-stays connected.
-
-Of the package this module imports only ``errors``, so a brute-force
-statistic loads no other code.  Graphs are read through their ``n``, ``labels``
-and ``adj``, so building a connectivity table loads no ``graphs`` code either.
-The object layer (``Partition``, ``Composition`` and their streams) lives in
-``partitions``; its names still resolve here, loaded on first use.
+Of the package this module imports only ``errors`` and ``walker``.  Graphs
+are read through their ``n``, ``labels`` and ``adj``, so building a
+connectivity table loads no ``graphs`` code.  The brute statistics live in
+``stats`` and the object layer (``Partition``, ``Composition`` and their
+streams) in ``partitions``; their public names still resolve here, loaded on
+first use.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from functools import lru_cache
 from itertools import chain
 
-from . import _EXPORTS
-from .errors import BRUTE_FORCE_CAP, InvalidParametersError, check_cap
+import compolab
+
+from .errors import check_cap
+from .walker import _State, _block_stream
 
 TYPE_CHECKING = False  # the typing module's constant, without loading typing
 if TYPE_CHECKING:
@@ -47,58 +36,12 @@ if TYPE_CHECKING:
 
 
 def __getattr__(name: str):
-    """The object layer's public names, imported from ``partitions`` on first use (PEP 562)."""
-    if name not in _EXPORTS["partitions"]:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import partitions
-
-    value = globals()[name] = getattr(partitions, name)
-    return value
-
-
-_State = tuple[list[int], list[int]]  # the walker's (rgs, blocks), see _block_stream
-
-
-def _block_stream(n: int) -> Iterator[_State]:
-    """Yield (rgs, blocks) for every RGS of length n, in lexicographic order.
-
-    Both lists change in place and the same tuple is yielded each time.
-    ``blocks[b]`` is the position bitset of block b; later slots, and slot n, are 0.
-    """
-    rgs = [0] * n
-    blocks = [0] * (n + 1)
-    blocks[0] = (1 << n) - 1
-    # opened[i] = number of blocks used by rgs[:i]; position i may hold 0..opened[i]
-    opened = [0] + [1] * (n - 1)
-    state = (rgs, blocks)
-    yield state
-    if not n:
-        return
-    last = n - 1
-    last_bit = 1 << last
-    while True:
-        # Most steps move only the last position, and need no reset.
-        for b in range(rgs[last], opened[last]):
-            blocks[b] ^= last_bit
-            blocks[b + 1] |= last_bit
-            rgs[last] = b + 1
-            yield state
-        i = last - 1
-        while i >= 0 and rgs[i] == opened[i]:
-            i -= 1
-        if i < 0:
-            return
-        b = rgs[i]
-        blocks[b] ^= 1 << i
-        blocks[b + 1] |= 1 << i
-        rgs[i] = b + 1
-        high = max(opened[i], b + 2)
-        for v in range(i + 1, n):
-            blocks[rgs[v]] ^= 1 << v
-            rgs[v] = 0
-            opened[v] = high
-        blocks[0] |= (1 << n) - (2 << i)
-        yield state
+    """The public names of ``partitions`` and ``stats``, imported on first use (PEP 562)."""
+    for module in ("partitions", "stats"):
+        if name in compolab._EXPORTS[module]:
+            value = globals()[name] = getattr(getattr(compolab, module), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _composition_states(g: LabelledGraph, cap: int | None = None) -> Iterator[_State]:
@@ -239,88 +182,3 @@ def composition_count_brute(g: LabelledGraph, cap: int | None = None) -> int:
     """Number of compositions of g, by enumerating all partitions of its vertices."""
     check_cap(g.n, cap)
     return _count_extensions(g.n, _connectivity_table(_position_adjacency(g)))
-
-
-# ---------------------------------------------------------------------------
-# Minimax statistics
-# ---------------------------------------------------------------------------
-
-def minimax_count_brute(n: int, m: int, cap: int | None = None) -> int:
-    """Number of partitions of {1..n} whose minimax vertex is m, by enumeration."""
-    if n < 1 or not (1 <= m <= n):
-        raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
-    check_cap(n, cap)
-    return _statistic_row(n, n)[m]
-
-
-def kj_count_brute(n: int, m: int, j: int, cap: int | None = None) -> int:
-    """Number of partitions of {1..n} whose size-restricted minimax statistic is m.
-
-    The statistic is the smallest per-block maximum over blocks with at most j
-    labels; partitions with no such block carry statistic 0, which is what the
-    m = 0 column counts.
-    """
-    if j < 1:
-        raise InvalidParametersError(f"j must be >= 1, got {j}")
-    if n < 0 or not (0 <= m <= n):
-        raise InvalidParametersError(f"need 0 <= m <= n, got n={n}, m={m}")
-    check_cap(n, cap)
-    return _statistic_row(n, min(j, n))[m]
-
-
-@lru_cache(maxsize=BRUTE_FORCE_CAP + 1)
-def _statistic_row(n: int, j: int) -> tuple[int, ...]:
-    """row[m] = number of partitions of {1..n} whose smallest top among blocks
-    of at most j labels is m (0: no such block).  Callers check the cap.
-
-    The walk covers labels 1..n-2 and scores every placement of labels n - 1
-    and n at once: a placement scores the smallest qualifying top among the
-    blocks it leaves untouched, else n - 1 if the block of n - 1 qualifies
-    (and lacks n), else n if the block of n qualifies, else 0.
-    """
-    if n < 2:
-        return ((1,), (0, 1))[n]  # the empty partition; the singleton {1}
-    # t1 < t2 < t3 are the three smallest qualifying tops (z if missing), b1
-    # and b2 the blocks of t1 and t2, and k the number of blocks.  Of the
-    # (k + 2) + k(k + 1) placements, k² + 1 leave b1 untouched and score t1,
-    # and 2k - 1 of the rest leave b2 untouched and score t2.
-    z = n + 1
-    row = [0] * (n + 2)  # row[z] counts statistic 0
-    every = j >= n - 2  # every block of n - 2 labels qualifies
-    for _, blocks in _block_stream(n - 2):
-        t1 = t2 = t3 = z
-        b1 = b2 = 0
-        for k, mask in enumerate(blocks):
-            if not mask:
-                break
-            if every or mask.bit_count() <= j:
-                top = mask.bit_length()
-                if top < t2:
-                    if top < t1:
-                        t1, t2, t3, b1, b2 = top, t1, t2, mask, b1
-                    else:
-                        t2, t3, b2 = top, t2, mask
-                elif top < t3:
-                    t3 = top
-        if t1 == z:  # every block has more than j labels, and so has each join
-            row[n - 1] += k + 1  # n - 1 alone
-            row[n] += k + (j > 1)  # n alone beside a grown block, or {n - 1, n}
-            row[z] += k * k + (j == 1)
-            continue
-        row[t1] += k * k + 1
-        grow1 = b1.bit_count() < j  # b1 still qualifies with one more label
-        if t2 < z:
-            row[t2] += 2 * k - 1
-            if t3 < z:
-                row[t3] += 2  # n - 1 joins b1 and n joins b2, or the reverse
-            else:
-                grow2 = b2.bit_count() < j
-                row[n - 1 if grow1 else n if grow2 else z] += 1  # n - 1 joins b1, n joins b2
-                row[n - 1 if grow2 else n if grow1 else z] += 1  # the reverse
-        else:
-            row[n - 1] += 1  # n joins b1
-            row[n - 1 if grow1 else n] += 1  # n - 1 joins b1
-            row[n if b1.bit_count() + 2 <= j else z] += 1  # both join b1
-            row[n - 1 if grow1 else z] += k - 1  # n - 1 joins b1, n another block
-            row[n if grow1 else z] += k - 1  # n joins b1, n - 1 another block
-    return (row[z], *row[1:z])

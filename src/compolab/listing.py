@@ -17,8 +17,8 @@ from collections.abc import Iterable, Iterator
 
 from . import enumeration, graphs
 from .cli import EXIT_OK, Args
-from .errors import (InvalidParametersError, MalformedInputError, _cut, _significant, data_lines,
-                     read_lines)
+from .errors import InvalidParametersError, MalformedInputError
+from .reading import _cut, _significant, data_lines, read_lines
 
 # int() takes time quadratic in a token's digits, so the parser refuses a
 # label or count with more significant digits than MAX_LABEL before reading it.

@@ -5,22 +5,24 @@ position i holds the block index of the i-th smallest label, block indices
 appear in order of first use, and each entry exceeds every entry before it by
 at most one.  ``Composition`` is a partition of a graph's vertices whose blocks
 are all connected.  The streams yield these objects in lexicographic RGS
-order, from the walkers of ``enumeration``: ``set_partitions`` walks all
-Bell(n) partitions, and ``compositions`` the Bell(n - 1) partitions of all
-vertices but the last, which it places where every block stays connected.
-Objects the streams build skip the public checks.
+order: ``set_partitions`` walks all Bell(n) partitions with
+``walker._block_stream``, and ``compositions`` takes the Bell(n - 1)
+partitions of all vertices but the last from ``enumeration``, which places
+the last where every block stays connected.  Objects the streams build skip
+the public checks.
 
-The brute-force counters in ``enumeration`` build no object and never load
-this module.
+The brute-force counters in ``enumeration`` and ``stats`` build no object and
+never load this module.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-from .enumeration import _State, _block_stream, _composition_states
+from .enumeration import _composition_states
 from .errors import InvalidParametersError, check_cap
 from .graphs import Frozen, LabelledGraph, is_connected_induced, label_mask
+from .walker import _State, _block_stream
 
 
 class Partition(Frozen):

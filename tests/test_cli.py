@@ -19,7 +19,9 @@ from pathlib import Path
 import pytest
 from conftest import COMP_TABLE, K1_TABLE
 
-from compolab import cli, closedform, enumeration, listing, numtheory, tables
+import compolab
+from compolab import (cli, closedform, enumeration, listing, numtheory, stats, suites, tables,
+                      walker)
 from compolab.cli import ROUTES, main
 from compolab.closedform import (
     MemoStore,
@@ -28,9 +30,10 @@ from compolab.closedform import (
     comp_count_recursive,
 )
 from compolab.enumeration import compositions
-from compolab.errors import MAX_LINE, CompolabError, MalformedInputError, read_lines
+from compolab.errors import CompolabError, MalformedInputError
 from compolab.graphs import complete, from_vertices_and_edges
 from compolab.numtheory import bell_numbers
+from compolab.reading import MAX_LINE, read_lines
 
 
 def run(capsys, *argv):
@@ -500,13 +503,13 @@ def test_recursion_reads_no_weight_vector(monkeypatch, capsys):
 ])
 def test_table_brute_over_the_cap_exits_3_before_any_cell(monkeypatch, capsys, kind,
                                                           extra, cap, first_over):
-    from compolab import enumeration
+    from compolab import enumeration, stats
 
     def never(*args, **kwargs):
         raise AssertionError("a brute counter ran")
 
     monkeypatch.setattr(enumeration, "composition_count_brute", never)
-    monkeypatch.setattr(enumeration, "kj_count_brute", never)
+    monkeypatch.setattr(stats, "kj_count_brute", never)
     code, out, err = run(capsys, "table", kind, "--max-n", "14", "--method", "brute", *extra)
     assert code == 3 and out == ""
     assert err == (f"error: {first_over} vertices exceeds the brute-force cap of {cap} "
@@ -520,7 +523,7 @@ def test_brute_statistics_over_20_vertices_exit_3_before_any_walk(monkeypatch, c
     def never(n):
         raise AssertionError(f"a walk over {n} positions started")
 
-    monkeypatch.setattr(enumeration, "_block_stream", never)
+    monkeypatch.setattr(stats, "_block_stream", never)
     message = "error: 21 vertices exceeds the brute-force limit of 20, which no cap raises\n"
     brute = ["--method", "brute", "--max-brute-n", "25"]
     for kind, cell in (("minimax", ["-m", "1"]), ("kj", ["-m", "0", "-j", "2"]),
@@ -721,8 +724,8 @@ _KERNELS = {
     "bell-prefix": (closedform.MemoStore, "bell_numbers", _plus_one),
     "bell-numbers": (numtheory, "bell_numbers", _plus_one),
     "extensions": (enumeration, "_count_extensions", _plus_one),
-    "statistic-row": (enumeration, "_statistic_row", _plus_one),
-    "walker": (enumeration, "_block_stream", _skip_first_state),
+    "statistic-row": (stats, "_statistic_row", _plus_one),
+    "walker": (walker, "_block_stream", _skip_first_state),
 }
 
 # suite -> {kernel: the terms that move when it is poisoned}.  A kernel left
@@ -746,7 +749,7 @@ _KERNEL_TERMS = {
 }
 
 _SUITE_N_MAX = {"threeway": 5, "k1": 6, "reflection": 6, "rowsum": 8, "bijection": 4}
-_clear_rows = enumeration._statistic_row.cache_clear  # kept: the poison replaces the name
+_clear_rows = stats._statistic_row.cache_clear  # kept: the poison replaces the name
 
 
 def _verify_terms(capsys, suite):
@@ -762,7 +765,7 @@ def _verify_terms(capsys, suite):
 def test_each_agreement_term_reads_its_own_kernel(monkeypatch, capsys):
     # Poison one kernel at a time: exactly the terms built on it move, so no
     # simplification can let a route check itself without failing here.
-    assert sorted(_KERNEL_TERMS) == sorted(tables._SUITES) == list(cli._SUITE_NAMES)
+    assert sorted(_KERNEL_TERMS) == sorted(suites._SUITES) == list(cli._SUITE_NAMES)
     for suite, moved in _KERNEL_TERMS.items():
         clean_code, clean = _verify_terms(capsys, suite)
         assert clean_code == 0, suite
@@ -800,17 +803,19 @@ def test_verify_brute_suite_respects_cap(monkeypatch, capsys):
 def _record_walks(monkeypatch):
     """Wrap the brute-force walker in every module that binds it; the list it
     returns collects the number of positions of every walk."""
-    from compolab import bijection, enumeration, partitions
-
     walks = []
-    real = enumeration._block_stream
+    real = walker._block_stream
 
     def counting(n):
         walks.append(n)
         return real(n)
 
-    for module in (enumeration, partitions, bijection):
-        monkeypatch.setattr(module, "_block_stream", counting)
+    # Every binding of the walker, in whichever module imported it by name:
+    # each submodule is loaded first, so that none binds it later.
+    for module in [getattr(compolab, name) for name in compolab._EXPORTS]:
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, counting)
     return walks
 
 
@@ -822,10 +827,10 @@ def _record_walks(monkeypatch):
 def test_brute_statistics_walk_each_row_once(monkeypatch, capsys, argv):
     # The cells of one row (n, j) share one walk over the partitions of
     # {1..n-2}: rows 2..6, five walks (row 1 needs none).
-    from compolab import enumeration
+    from compolab import stats
 
     walks = _record_walks(monkeypatch)
-    enumeration._statistic_row.cache_clear()
+    stats._statistic_row.cache_clear()
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "FAIL" not in out
     assert sorted(walks) == [0, 1, 2, 3, 4]

@@ -9,7 +9,7 @@ import pytest
 
 from compolab import cli
 from compolab.cli import ROUTES, main
-from compolab.tables import _SUITES
+from compolab.suites import _SUITES
 from compolab.usage import _bind_range_value, build_parser
 
 KINDS = sorted(ROUTES) + ["nope"]

@@ -38,13 +38,13 @@ from compolab import (
 )
 from compolab import enumeration
 from compolab.enumeration import (
-    _block_stream,
     _composition_states,
     _connectivity_table,
     _count_extensions,
     _position_adjacency,
 )
 from compolab.graphs import mask_connected
+from compolab.walker import _block_stream
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,17 @@ def test_every_public_name_resolves_to_its_submodule_object():
     assert sorted(compolab.__all__) == sorted(
         name for names in compolab._EXPORTS.values() for name in names
     )
-    assert compolab.enumeration.BRUTE_FORCE_CAP is compolab.BRUTE_FORCE_CAP
+    assert compolab.stats.BRUTE_FORCE_CAP is compolab.BRUTE_FORCE_CAP
+
+
+def test_brute_statistics_resolve_on_the_package_and_on_enumeration():
+    # The statistics moved to `stats`; both of their earlier paths still
+    # reach the moved functions.
+    from compolab import enumeration, stats
+
+    for name in ("minimax_count_brute", "kj_count_brute"):
+        assert getattr(compolab, name) is getattr(stats, name), name
+        assert getattr(enumeration, name) is getattr(stats, name), name
 
 
 def test_star_import_binds_every_public_name():
@@ -52,8 +62,9 @@ print(json.dumps(sorted(%r & set(sys.modules))))
 """
 
 _HEAVY = {"argparse", "gettext", "multiprocessing", "dataclasses", "pathlib", "typing"} | {
-    f"compolab.{name}" for name in ("bijection", "closedform", "enumeration", "graphs",
-                                    "listing", "numtheory", "partitions", "tables", "usage")
+    f"compolab.{name}" for name in ("bijection", "closedform", "enumeration", "graphs", "listing",
+                                    "numtheory", "partitions", "reading", "stats", "suites",
+                                    "tables", "usage", "walker")
 }
 
 
@@ -74,48 +85,59 @@ def test_commands_import_only_the_modules_they_run(tmp_path):
     reference.write_text("# row sums\n0 1\n1 2\n2 5\n3 15\n")
     brute = ["--method", "brute"]
     # A brute-force count builds no Partition, so no command below loads the
-    # object layer; a brute statistic reads no graph; and --workers at the CPU
-    # count is accepted and still counts in one process.
+    # object layer; a brute statistic loads neither the connectivity table
+    # (`enumeration`) nor graph code; only a file's reader loads `reading`;
+    # and --workers at the CPU count is accepted and still counts in one process.
+    walk = {"walker"}
     expected = [
         ((), [], set()),
         (("value", "bell", "-n", "5"), ["52"], {"numtheory"}),
         (("value", "comp", "-n", "5", "-m", "2"), ["47"], {"closedform", "numtheory"}),
-        (("value", "minimax", "-n", "5", "-m", "2", *brute), ["15"], {"enumeration"}),
-        (("value", "kj", "-n", "5", "-m", "3", "-j", "2"), ["11"], {"enumeration"}),
-        (("value", "comp", "-n", "5", "-m", "2", *brute), ["47"], {"enumeration", "graphs"}),
+        (("value", "minimax", "-n", "5", "-m", "2", *brute), ["15"], walk | {"stats"}),
+        (("value", "kj", "-n", "5", "-m", "3", "-j", "2"), ["11"], walk | {"stats"}),
+        (("value", "comp", "-n", "5", "-m", "2", *brute), ["47"],
+         walk | {"enumeration", "graphs"}),
         (("value", "comp", "-n", "5", "-m", "2", *brute, "--workers", str(os.cpu_count() or 1)),
-         ["47"], {"enumeration", "graphs"}),
+         ["47"], walk | {"enumeration", "graphs"}),
         (("enumerate", str(graph)), ["{1,2,3}", "{1,2}|{3}", "{1,3}|{2}", "{1}|{2,3}",
-                                     "{1}|{2}|{3}"], {"enumeration", "graphs", "listing"}),
+                                     "{1}|{2}|{3}"],
+         walk | {"enumeration", "graphs", "listing", "reading"}),
     ]
     for argv, printed, modules in expected:
         assert _loaded(*argv) == (printed, modules), argv
 
-    # The commands that compute many cells live in `tables`, and every cell
-    # reads its closed form; each row gives the last line printed.
-    cells = {"tables", "closedform", "numtheory"}
+    # The commands that compute many cells live in `tables` (table, bfile)
+    # and `suites` (verify), and every cell reads its closed form, which
+    # loads `numtheory` only for a number table; each row gives the last
+    # line printed.
+    table, suite = {"tables", "closedform"}, {"suites", "closedform"}
     expected = [
-        (("table", "comp", "--max-n", "5"), "  5 |  52  52  47  35  16   1", set()),
-        (("verify", "rowsum", "--n-max", "3"), "rowsum: 4/4 identities hold", set()),
-        (("bfile", "rowsum", "--range", "0..3"), "3 15", set()),
+        (("table", "comp", "--max-n", "5"), "  5 |  52  52  47  35  16   1",
+         table | {"numtheory"}),
+        (("verify", "rowsum", "--n-max", "3"), "rowsum: 4/4 identities hold",
+         suite | {"numtheory"}),
+        (("bfile", "rowsum", "--range", "0..3"), "3 15", table),
         # A reference is split by the code graph files use, yet loads no graph code.
-        (("bfile", "rowsum", "--range", "0..3", "--compare", str(reference)), "3 15", set()),
+        (("bfile", "rowsum", "--range", "0..3", "--compare", str(reference)), "3 15",
+         table | {"reading"}),
         (("table", "k1", "--max-n", "5", *brute), "  5 |  11  15  10   7   5   4",
-         {"enumeration"}),
-        (("verify", "k1", "--n-max", "3"), "k1: 9/9 identities hold", {"enumeration"}),
+         table | walk | {"stats"}),
+        (("verify", "k1", "--n-max", "3"), "k1: 9/9 identities hold",
+         suite | walk | {"numtheory", "stats"}),
         (("verify", "reflection", "--n-max", "3"), "reflection: 6/6 identities hold",
-         {"enumeration"}),
+         suite | walk | {"numtheory", "stats"}),
         (("table", "comp", "--max-n", "5", *brute), "  5 |  52  52  47  35  16   1",
-         {"enumeration", "graphs"}),
+         table | walk | {"enumeration", "graphs"}),
         (("verify", "threeway", "--n-max", "3"), "threeway: 10/10 identities hold",
-         {"enumeration", "graphs"}),
-        # bijection's NamedTuple brings in typing.
+         suite | walk | {"numtheory", "enumeration", "graphs"}),
+        # The recursion alone reads no number table; bijection's NamedTuple
+        # brings in typing.
         (("verify", "bijection", "--n-max", "3"), "bijection: 10/10 identities hold",
-         {"enumeration", "graphs", "bijection", "typing"}),
+         suite | walk | {"enumeration", "graphs", "bijection", "typing"}),
     ]
     for argv, last, modules in expected:
         printed, loaded = _loaded(*argv)
-        assert (printed[-1], loaded) == (last, cells | modules), argv
+        assert (printed[-1], loaded) == (last, modules), argv
 
     # argparse renders help and usage errors, and only those load it.
     usage = {"argparse", "gettext", "usage"}
@@ -146,7 +168,7 @@ def test_text_output_leaves_json_unloaded(tmp_path):
 def test_modules_compile_below_the_token_step():
     # A job run with PYTHONDONTWRITEBYTECODE=1 compiles each module it loads
     # afresh: every job compiles cli.py, and the compile of the largest
-    # module a job loads (enumeration, graphs, tables, closedform, bijection)
+    # module a job loads (graphs, cli, closedform, tables, stats, bijection)
     # sets its peak RSS.  CPython 3.11's compile() allocates about 110-120 KiB
     # more once a module passes 2,048 parser tokens, more than the benchmark's
     # 0.1 MB bound on peak_rss_mb.  Tokens are counted without comments, blank
