@@ -12,9 +12,10 @@ pointwise and exhaustively — round trips, injectivity, and matching counts;
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import reduce
 from operator import or_
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .enumeration import _composition_states
 from .errors import InvalidParametersError, check_cap
@@ -28,19 +29,21 @@ from .graphs import (
 )
 from .walker import _block_stream
 
+TYPE_CHECKING = False  # the typing module's constant, without loading typing
 if TYPE_CHECKING:  # the maps load the object layer when they run; verify_row never does
     from .partitions import Partition
 
 
-class BijectionReport(NamedTuple):
-    """Outcome of one exhaustive check of the deletion/insertion bijection."""
+class BijectionReport(namedtuple(
+    "BijectionReport", "n m lhs_count rhs_count round_trip_ok injective_ok"
+)):
+    """Outcome of one exhaustive check of the deletion/insertion bijection.
 
-    n: int
-    m: int
-    lhs_count: int  # partitions of {1..n+1} with minimax vertex m+1
-    rhs_count: int  # compositions of target_graph(n, m)
-    round_trip_ok: bool
-    injective_ok: bool
+    ``lhs_count`` counts the partitions of {1..n+1} with minimax vertex m+1,
+    ``rhs_count`` the compositions of target_graph(n, m).
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -59,7 +62,7 @@ def target_graph(n: int, m: int) -> LabelledGraph:
     return delete_vertex(complete_minus_clique(n + 1, m), m + 1)
 
 
-def forward(p: Partition, expected_minimax: Optional[int] = None) -> Partition:
+def forward(p: Partition, expected_minimax: int | None = None) -> Partition:
     """Delete the minimax vertex; its block-mates become singletons.
 
     If ``expected_minimax`` is given, the partition's actual minimax vertex
@@ -127,7 +130,7 @@ def _insert(c: Iterable[int], m: int) -> list[int]:
     return out
 
 
-def verify(n: int, m: int, cap: Optional[int] = None) -> BijectionReport:
+def verify(n: int, m: int, cap: int | None = None) -> BijectionReport:
     """Exhaustively check the bijection at (n, m).
 
     Walks every partition of {1..n+1} with minimax vertex m+1 and every
@@ -139,14 +142,14 @@ def verify(n: int, m: int, cap: Optional[int] = None) -> BijectionReport:
     return _verify_cells(n, [m], cap)[0]
 
 
-def verify_row(n: int, cap: Optional[int] = None) -> list[BijectionReport]:
+def verify_row(n: int, cap: int | None = None) -> list[BijectionReport]:
     """``verify(n, m)`` for every m = 0..n, from one walk over the partitions of {1..n+1}."""
     if n < 0:
         raise InvalidParametersError(f"need n >= 0, got n={n}")
     return _verify_cells(n, range(n + 1), cap)
 
 
-def _verify_cells(n: int, ms: Iterable[int], cap: Optional[int]) -> list[BijectionReport]:
+def _verify_cells(n: int, ms: Iterable[int], cap: int | None) -> list[BijectionReport]:
     """The reports of the cells (n, m), m in ms: one walk over the partitions
     of {1..n+1} hands each to the cell of its minimax vertex.
 

@@ -1,21 +1,22 @@
 """Labelled undirected graphs with bitset adjacency.
 
 Vertices are positive integer labels; a vertex set is an int used as a bitset
-(bit v set <=> label v present).  Graphs are immutable after construction, so
-they hash, compare structurally, and are safe to share across threads.  The
-builders cover the family obtained from a complete graph by deleting all edges
-inside the label prefix {1..m}, which is the family everything else in this
-package counts.  ``complete``, ``complete_minus_clique`` and ``from_edge_list``
-(which ``listing``'s graph-file parser calls) hand their pairs, one at a time,
-to ``from_vertices_and_edges``, the one loop that sets adjacency bits from
-pairs, so no pair list is held.
+(bit v set <=> label v present).  A graph is a named tuple ``(vertex_mask,
+adj)`` whose constructor checks it, so it hashes and compares as that tuple
+and is safe to share across threads.  The builders cover the family obtained
+from a complete graph by deleting all edges inside the label prefix {1..m},
+which is the family everything else in this package counts.  ``complete``,
+``complete_minus_clique`` and ``from_edge_list`` (which ``listing``'s
+graph-file parser calls) hand their pairs, one at a time, to
+``from_vertices_and_edges``, the one loop that sets adjacency bits from pairs,
+so no pair list is held.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
-from operator import attrgetter
 
 from .errors import InvalidParametersError, MalformedInputError
 
@@ -26,9 +27,11 @@ MAX_LABEL = 64
 
 
 def label_mask(labels: Iterable[int]) -> int:
-    """Pack labels into a bitset."""
+    """Pack labels into a bitset, refusing a label outside 1..MAX_LABEL."""
     mask = 0
     for v in labels:
+        if v < 1 or v > MAX_LABEL:
+            raise InvalidParametersError(f"label {v} out of range 1..{MAX_LABEL}")
         mask |= 1 << v
     return mask
 
@@ -43,53 +46,16 @@ def mask_labels(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Frozen:
-    """Base of the package's immutable value types.
-
-    A subclass names its fields in ``__slots__`` and sets them once, in
-    ``__init__``, through ``object.__setattr__``.  Equality, hashing, repr and
-    pickling read the fields in that order; assignment and deletion raise.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        cls._values = attrgetter(*cls.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values(self) == other._values(other)
-
-    def __hash__(self):
-        return hash(self._values(self))
-
-    def __repr__(self):
-        fields = zip(self.__slots__, self._values(self))
-        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
-
-    def __reduce__(self):
-        return type(self), self._values(self)
-
-
-class LabelledGraph(Frozen):
+class LabelledGraph(namedtuple("LabelledGraph", "vertex_mask adj")):
     """Immutable undirected graph on integer labels.
 
     ``vertex_mask`` is the bitset of present labels; ``adj[v]`` is the
     neighbor bitset of label v (index 0 and absent labels hold 0).
     """
 
-    __slots__ = ("vertex_mask", "adj")
-    vertex_mask: int
-    adj: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, vertex_mask: int, adj: tuple[int, ...]):
+    def __new__(cls, vertex_mask: int, adj: tuple[int, ...]):
         mask = vertex_mask
         if mask & 1:
             raise InvalidParametersError("vertex labels must be >= 1")
@@ -115,8 +81,12 @@ class LabelledGraph(Frozen):
                 u = low.bit_length() - 1
                 if not (adj[u] >> v) & 1:
                     raise InvalidParametersError(f"asymmetric edge {{{v},{u}}}")
-        object.__setattr__(self, "vertex_mask", vertex_mask)
-        object.__setattr__(self, "adj", adj)
+        return super().__new__(cls, vertex_mask, adj)
+
+    # namedtuple's _replace builds through _make, and pickle protocols 0 and 1
+    # through tuple.__new__: these two lines send both through the checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+    __reduce__ = lambda self: (type(self), tuple(self))
 
     @property
     def n(self) -> int:
@@ -144,7 +114,8 @@ class LabelledGraph(Frozen):
         return sum(self.adj[v].bit_count() for v in self.labels) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.vertex_mask >> u) & 1) and bool((self.adj[u] >> v) & 1)
+        """True iff u and v are adjacent; False when either is not a vertex."""
+        return 0 < u and 0 < v and bool(self.vertex_mask >> u & 1 and self.adj[u] >> v & 1)
 
 
 def from_vertices_and_edges(
@@ -155,11 +126,7 @@ def from_vertices_and_edges(
     This is the one loop that sets adjacency bits from pairs: it checks each
     pair as it draws it, so no pair list is held.
     """
-    mask = 0
-    for v in labels:
-        if v < 1 or v > MAX_LABEL:
-            raise InvalidParametersError(f"label {v} out of range 1..{MAX_LABEL}")
-        mask |= 1 << v
+    mask = label_mask(labels)
     adj = [0] * max(mask.bit_length(), 1)
     for u, v in pairs:
         if u == v:
@@ -223,7 +190,7 @@ def _in_range(n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, i
 
 def delete_vertex(g: LabelledGraph, v: int) -> LabelledGraph:
     """Remove a vertex and its incident edges, keeping the remaining labels as-is."""
-    if not (g.vertex_mask >> v) & 1:
+    if v < 1 or not g.vertex_mask >> v & 1:
         raise InvalidParametersError(f"label {v} is not a vertex")
     keep = g.vertex_mask & ~(1 << v)
     adj = [0] * max(keep.bit_length(), 1)

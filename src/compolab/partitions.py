@@ -8,8 +8,9 @@ are all connected.  The streams yield these objects in lexicographic RGS
 order: ``set_partitions`` walks all Bell(n) partitions with
 ``walker._block_stream``, and ``compositions`` takes the Bell(n - 1)
 partitions of all vertices but the last from ``enumeration``, which places
-the last where every block stays connected.  Objects the streams build skip
-the public checks.
+the last where every block stays connected.  Both are named tuples whose
+constructors check their fields; the streams build theirs with
+``tuple.__new__``, past checks their walks already meet.
 
 The brute-force counters in ``enumeration`` and ``stats`` build no object and
 never load this module.
@@ -17,15 +18,16 @@ never load this module.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
 from .enumeration import _composition_states
 from .errors import InvalidParametersError, check_cap
-from .graphs import Frozen, LabelledGraph, is_connected_induced, label_mask
+from .graphs import LabelledGraph, is_connected_induced, label_mask
 from .walker import _State, _block_stream
 
 
-class Partition(Frozen):
+class Partition(namedtuple("Partition", "labels rgs")):
     """A set partition of a finite label set, canonically encoded as an RGS.
 
     ``labels`` is the ascending ground set; ``rgs[i]`` is the block index of
@@ -33,9 +35,9 @@ class Partition(Frozen):
     appearance, blocks come out sorted by their minimum element.
     """
 
-    __slots__ = ("labels", "rgs")
+    __slots__ = ()
 
-    def __init__(self, labels: Sequence[int], rgs: Sequence[int]):
+    def __new__(cls, labels: Sequence[int], rgs: Sequence[int]):
         labels = tuple(labels)
         rgs = tuple(rgs)
         if len(labels) != len(rgs):
@@ -50,8 +52,11 @@ class Partition(Frozen):
                 raise InvalidParametersError(f"not a restricted growth string: {rgs}")
             if value > top:
                 top = value
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "rgs", rgs)
+        return super().__new__(cls, labels, rgs)
+
+    # As for LabelledGraph: _replace and pickling go through the checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+    __reduce__ = lambda self: (type(self), tuple(self))
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
@@ -102,47 +107,37 @@ class Partition(Frozen):
         )
 
 
-class Composition(Frozen):
+class Composition(namedtuple("Composition", "graph partition")):
     """A partition of a graph's vertex set whose blocks all induce connected subgraphs."""
 
-    __slots__ = ("graph", "partition")
-    graph: LabelledGraph
-    partition: Partition
+    __slots__ = ()
 
-    def __init__(self, graph: LabelledGraph, partition: Partition):
+    def __new__(cls, graph: LabelledGraph, partition: Partition):
         if not is_composition(graph, partition):
             raise InvalidParametersError(
                 "every block must induce a connected subgraph"
             )
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "partition", partition)
+        return super().__new__(cls, graph, partition)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+    __reduce__ = lambda self: (type(self), tuple(self))
 
     def __str__(self):
         return str(self.partition)
 
 
-# Stream-built objects skip the public checks: their fields are set through
-# the slot descriptors, which also bypass Frozen.__setattr__.
-_new = object.__new__
-_set_labels = Partition.labels.__set__
-_set_rgs = Partition.rgs.__set__
-_set_graph = Composition.graph.__set__
-_set_partition = Composition.partition.__set__
-
-
 def partitions_of(labels: Iterable[int], cap: int | None = None) -> Iterator[Partition]:
     """Every partition of an explicit label set, in lexicographic RGS order."""
     ground = tuple(sorted(set(labels)))
+    if ground and ground[0] < 1:
+        raise InvalidParametersError("labels must be positive integers")
     check_cap(len(ground), cap)
     return _partition_stream(ground)
 
 
 def _partition_stream(ground: tuple[int, ...]) -> Iterator[Partition]:
     for rgs, _ in _block_stream(len(ground)):
-        partition = _new(Partition)
-        _set_labels(partition, ground)
-        _set_rgs(partition, tuple(rgs))
-        yield partition
+        yield tuple.__new__(Partition, (ground, tuple(rgs)))
 
 
 def set_partitions(n: int, cap: int | None = None) -> Iterator[Partition]:
@@ -171,13 +166,7 @@ def compositions(g: LabelledGraph, cap: int | None = None) -> Iterator[Compositi
 def _composition_stream(g: LabelledGraph, states: Iterator[_State]) -> Iterator[Composition]:
     labels = g.labels
     for rgs, _ in states:
-        partition = _new(Partition)
-        _set_labels(partition, labels)
-        _set_rgs(partition, tuple(rgs))
-        composition = _new(Composition)
-        _set_graph(composition, g)
-        _set_partition(composition, partition)
-        yield composition
+        yield tuple.__new__(Composition, (g, tuple.__new__(Partition, (labels, tuple(rgs)))))
 
 
 def minimax_vertex(p: Partition) -> int | None:

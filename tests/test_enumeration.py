@@ -81,11 +81,14 @@ def test_partition_rejects_bad_input():
 
 
 def test_streamed_partitions_equal_checked_ones():
-    # The stream builds its partitions without Partition's checks; the public
-    # constructor, checks included, must give equal objects.
+    # The streams build their objects without the constructors' checks; the
+    # public constructors, checks included, must give equal objects.
     for n in range(9):
         for p in set_partitions(n):
-            assert Partition(p.labels, p.rgs) == p
+            assert Partition(p.labels, p.rgs) == p and type(p) is Partition
+    g = complete_minus_clique(6, 3)
+    for c in compositions(g):
+        assert Composition(c.graph, Partition(*c.partition)) == c and type(c) is Composition
 
 
 def test_partition_is_immutable_and_hashable():
@@ -95,21 +98,40 @@ def test_partition_is_immutable_and_hashable():
     g = complete(2)
     report = BijectionReport(n=2, m=1, lhs_count=2, rhs_count=2, round_trip_ok=True,
                              injective_ok=True)
-    cases = [  # (value, a field, an equal value built apart, an unequal value)
-        (p, "rgs", Partition((1, 2), (0, 0)), split),
-        (g, "adj", from_edge_list(2, [(2, 1)]), from_edge_list(2, [])),
+    cases = [  # (value, a field, an equal value built apart, an unequal value,
+               #  a value of the field that the type's checks refuse, if it checks)
+        (p, "rgs", Partition((1, 2), (0, 0)), split, (0, 2)),
+        (g, "adj", from_edge_list(2, [(2, 1)]), from_edge_list(2, []), (0, 0, 1)),
         (Composition(g, p), "partition", Composition(complete(2), Partition((1, 2), (0, 0))),
-         Composition(g, split)),
-        (report, "injective_ok", report._replace(), report._replace(injective_ok=False)),
+         Composition(g, split), Partition((1, 3), (0, 0))),
+        (report, "injective_ok", report._replace(), report._replace(injective_ok=False), None),
     ]
     types = {t.__name__: t for t in (Partition, LabelledGraph, Composition, BijectionReport)}
-    for value, field, same, other in cases:
+    for value, field, same, other, bad in cases:
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(other, field))
         assert value == same and hash(value) == hash(same) and value != other
         assert len({value, same, other}) == 2
+        # Each is a named tuple of its fields, hashing as that tuple does.
+        assert value == tuple(value) and hash(value) == hash(tuple(value))
         assert eval(repr(value), types) == value
-        assert pickle.loads(pickle.dumps(value)) == value
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(value, protocol)) == value
+        if bad is None:
+            continue
+        # Every path that builds a value runs the checks: the constructor,
+        # _replace, _make and unpickling, whatever the protocol.
+        fields = [bad if name == field else v for name, v in zip(value._fields, value)]
+        with pytest.raises(InvalidParametersError):
+            type(value)(*fields)
+        with pytest.raises(InvalidParametersError):
+            value._replace(**{field: bad})
+        with pytest.raises(InvalidParametersError):
+            type(value)._make(fields)
+        unchecked = tuple.__new__(type(value), fields)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            with pytest.raises(InvalidParametersError):
+                pickle.loads(pickle.dumps(unchecked, protocol))
     assert repr(g) == "LabelledGraph(vertex_mask=6, adj=(0, 4, 2))"
     assert repr(report).startswith("BijectionReport(n=2, m=1, lhs_count=2,")
 
@@ -163,6 +185,10 @@ def test_partitions_of_arbitrary_labels():
     parts = list(partitions_of([4, 2, 9]))
     assert len(parts) == 5
     assert all(p.labels == (2, 4, 9) for p in parts)
+    # A ground set the constructor would refuse is refused at the call.
+    for labels in ([-3, 0], [0], [5, -1]):
+        with pytest.raises(InvalidParametersError, match="labels must be positive integers"):
+            partitions_of(labels)
 
 
 def test_streams_are_independent():

@@ -56,6 +56,9 @@ def test_prefix_is_independent_and_rest_is_joined():
     for u in range(1, 7):
         for v in range(u + 1, 7):
             assert g.has_edge(u, v) == (v > 3)
+    # A label that is not a vertex has no edge, negative ones included.
+    for u, v in ((-1, 5), (5, -1), (0, 5), (5, 0), (5, 99), (99, 5)):
+        assert g.has_edge(u, v) is False
 
 
 def test_from_edge_list():
@@ -101,6 +104,9 @@ def test_is_connected_induced_rejects_bad_sets():
         is_connected_induced(k3, set())
     with pytest.raises(InvalidParametersError):
         is_connected_induced(k3, {1, 5})
+    for label in (-1, 0, MAX_LABEL + 1):
+        with pytest.raises(InvalidParametersError, match=f"label {label} out of range 1..64"):
+            is_connected_induced(k3, [label])
 
 
 def test_connectivity_differential_against_bfs_oracle():
@@ -128,8 +134,9 @@ def test_delete_vertex_preserves_labels():
     assert delete_vertex(complete(1), 1).n == 0
     path = from_edge_list(3, [(1, 2), (2, 3)])
     assert delete_vertex(path, 2).edges == frozenset()
-    with pytest.raises(InvalidParametersError):
-        delete_vertex(path, 4)
+    for label in (4, 0, -1):
+        with pytest.raises(InvalidParametersError, match=f"label {label} is not a vertex"):
+            delete_vertex(path, label)
 
 
 def test_delete_vertex_twice():
@@ -147,6 +154,9 @@ def test_graph_equality_is_structural():
 def test_label_mask_round_trip():
     assert mask_labels(label_mask([3, 1, 7])) == (1, 3, 7)
     assert mask_labels(0) == ()
+    for label in (-1, 0, MAX_LABEL + 1):
+        with pytest.raises(InvalidParametersError, match=f"label {label} out of range"):
+            label_mask([2, label])
 
 
 def test_max_label_guard():

@@ -130,10 +130,9 @@ def test_commands_import_only_the_modules_they_run(tmp_path):
          table | walk | {"enumeration", "graphs"}),
         (("verify", "threeway", "--n-max", "3"), "threeway: 10/10 identities hold",
          suite | walk | {"numtheory", "enumeration", "graphs"}),
-        # The recursion alone reads no number table; bijection's NamedTuple
-        # brings in typing.
+        # The recursion alone reads no number table.
         (("verify", "bijection", "--n-max", "3"), "bijection: 10/10 identities hold",
-         suite | walk | {"enumeration", "graphs", "bijection", "typing"}),
+         suite | walk | {"enumeration", "graphs", "bijection"}),
     ]
     for argv, last, modules in expected:
         printed, loaded = _loaded(*argv)
