@@ -18,7 +18,7 @@ from functools import reduce
 from operator import or_
 
 from .enumeration import _composition_states
-from .errors import InvalidParametersError, check_cap
+from .errors import InvalidParametersError, check_at_least, check_cap, check_cell
 from .graphs import (
     LabelledGraph,
     complete_minus_clique,
@@ -57,8 +57,7 @@ def target_graph(n: int, m: int) -> LabelledGraph:
     Built by deleting vertex m+1 from the complete-minus-clique graph on n+1
     labels, which leaves exactly those edges.
     """
-    if n < 0 or m < 0 or m > n:
-        raise InvalidParametersError(f"need 0 <= m <= n, got n={n}, m={m}")
+    check_cell(n, m)
     return delete_vertex(complete_minus_clique(n + 1, m), m + 1)
 
 
@@ -137,15 +136,13 @@ def verify(n: int, m: int, cap: int | None = None) -> BijectionReport:
     composition of the target graph, checking the structural facts the
     construction relies on, both round trips, and injectivity.
     """
-    if n < 0 or m < 0 or m > n:
-        raise InvalidParametersError(f"need 0 <= m <= n, got n={n}, m={m}")
+    check_cell(n, m)
     return _verify_cells(n, [m], cap)[0]
 
 
 def verify_row(n: int, cap: int | None = None) -> list[BijectionReport]:
     """``verify(n, m)`` for every m = 0..n, from one walk over the partitions of {1..n+1}."""
-    if n < 0:
-        raise InvalidParametersError(f"need n >= 0, got n={n}")
+    check_at_least("n", n, 0)
     return _verify_cells(n, range(n + 1), cap)
 
 

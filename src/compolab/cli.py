@@ -36,6 +36,7 @@ from .errors import (
     MalformedInputError,
     ResourceLimitError,
     check_cap,
+    check_cell,
 )
 
 EXIT_OK = 0
@@ -52,8 +53,8 @@ Route = Callable[..., int]
 
 
 def _comp_brute(a, memo, n, m):
-    if 0 <= m <= n:  # the graph builder refuses the other cells
-        check_cap(n, a.max_brute_n)  # before the graph draws its n²/2 pairs
+    check_cell(n, m)  # a refused cell exits 2 before the cap's exit 3
+    check_cap(n, a.max_brute_n)  # before the graph draws its n²/2 pairs
     return compolab.enumeration.composition_count_brute(
         compolab.graphs.complete_minus_clique(n, m), cap=a.max_brute_n
     )

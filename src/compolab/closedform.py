@@ -44,7 +44,7 @@ from itertools import chain, repeat
 
 import compolab
 
-from .errors import InconsistentResultError, InvalidParametersError
+from .errors import InconsistentResultError, check_at_least, check_cell
 
 
 class MemoStore:
@@ -134,11 +134,6 @@ class MemoStore:
         return len(self._table)
 
 
-def _check_pair(n: int, m: int) -> None:
-    if n < 0 or m < 0 or m > n:
-        raise InvalidParametersError(f"need 0 <= m <= n, got n={n}, m={m}")
-
-
 def comp_count_recursive(n: int, m: int, memo: MemoStore | None = None) -> int:
     """comp(n, m) by the marked-vertex recursion, memoized.
 
@@ -149,7 +144,7 @@ def comp_count_recursive(n: int, m: int, memo: MemoStore | None = None) -> int:
     recursive call strictly decreases the vertex count, so the recursion
     terminates.  ``memo=None`` uses a fresh store for this call only.
     """
-    _check_pair(n, m)
+    check_cell(n, m)
     return _comp_recursive(n, m, MemoStore() if memo is None else memo)
 
 
@@ -197,7 +192,7 @@ def comp_count_explicit(n: int, m: int, memo: MemoStore | None = None) -> int:
     diagonal, m ascending, step it instead of rebuilding it; with
     ``memo=None`` each power is computed as its term is added.
     """
-    _check_pair(n, m)
+    check_cell(n, m)
     return _stirling_power_sum(n - m, m, memo)
 
 
@@ -208,7 +203,7 @@ def comp_count_paper_literal(n: int, m: int, memo: MemoStore | None = None) -> i
     ``--paper-literal`` mode for documentation and regression of the erratum.
     Do not use for real counts.  ``memo`` is used as in ``comp_count_explicit``.
     """
-    _check_pair(n, m)
+    check_cell(n, m)
     return _stirling_power_sum(m, n - m, memo)
 
 
@@ -219,8 +214,7 @@ def minimax_count_formula(n: int, m: int, memo: MemoStore | None = None) -> int:
     (i -> n+1-i) turns the maximin closed form into this one.  ``memo`` is
     used as in ``comp_count_explicit``.
     """
-    if n < 1 or not (1 <= m <= n):
-        raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
+    check_cell(n, m, 1)
     return _stirling_power_sum(n - m, m - 1, memo)
 
 
@@ -233,8 +227,7 @@ def maximin_count_formula(n: int, m: int, memo: MemoStore | None = None) -> int:
     sum_{k=1}^{m} S(m-1, k-1) * k^(n-m).  ``memo`` is used as in
     ``comp_count_explicit``.
     """
-    if n < 1 or not (1 <= m <= n):
-        raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
+    check_cell(n, m, 1)
     return _stirling_power_sum(m - 1, n - m, memo)
 
 
@@ -251,7 +244,7 @@ def k1_count_formula(n: int, m: int, memo: MemoStore | None = None) -> int:
     it is 1 at n = 0 (the empty partition).  ``memo`` lends its Bell prefix;
     ``memo=None`` uses a fresh store for this call only.
     """
-    _check_pair(n, m)
+    check_cell(n, m)
     b = (MemoStore() if memo is None else memo).bell_numbers(n)
     if m == 0:
         terms = chain(reversed(b[:n]), [1])  # B(n-1), B(n-2), ..., B(0), then 1
@@ -263,7 +256,6 @@ def k1_count_formula(n: int, m: int, memo: MemoStore | None = None) -> int:
 def row_sum(n: int, memo: MemoStore | None = None) -> int:
     """sum_{m=0}^{n} comp(n, m); equals bell(n+1) because every partition of
     {1..n+1} is classified by its minimax vertex."""
-    if n < 0:
-        raise InvalidParametersError(f"n must be >= 0, got {n}")
+    check_at_least("n", n, 0)
     store = MemoStore() if memo is None else memo
     return sum(comp_count_recursive(n, m, store) for m in range(n + 1))

@@ -1,11 +1,15 @@
-"""Exception types shared across the package, and the brute-force bounds
-behind ``ResourceLimitError``.
+"""Exception types shared across the package, the brute-force bounds behind
+``ResourceLimitError`` and the parameter rules behind
+``InvalidParametersError``.
 
 The bounds and their one check, ``check_cap``, live here, not in
 ``enumeration`` or ``stats``, so that the command line can show the cap in
 its help, and refuse a table or a suite over a bound (``_check_walks``),
-without loading the brute-force code.  What the input parsers share lives in
-``reading``.
+without loading the brute-force code.  The parameter rules are written once,
+beside it: ``check_cell`` holds a cell to first <= m <= n (the
+complete-minus-clique family starts at m = 0, the minimax statistics at
+m = 1), and ``check_at_least`` holds a count such as n or j to its least
+value.  What the input parsers share lives in ``reading``.
 """
 
 from __future__ import annotations
@@ -53,6 +57,18 @@ def check_cap(n: int, cap: int | None) -> None:
     if n > MAX_BRUTE_N:
         raise ResourceLimitError(f"{n} vertices exceeds the brute-force limit of {MAX_BRUTE_N}, "
                                  "which no cap raises")
+
+
+def check_cell(n: int, m: int, first: int = 0) -> None:
+    """Raise ``InvalidParametersError`` unless first <= m <= n."""
+    if not first <= m <= n:
+        raise InvalidParametersError(f"need {first} <= m <= n, got n={n}, m={m}")
+
+
+def check_at_least(name: str, value: int, low: int) -> None:
+    """Raise ``InvalidParametersError`` when ``value`` is below ``low``."""
+    if value < low:
+        raise InvalidParametersError(f"{name} must be >= {low}, got {value}")
 
 
 def _check_walks(largest: int, cap: int) -> None:

@@ -8,17 +8,18 @@ from a complete graph by deleting all edges inside the label prefix {1..m},
 which is the family everything else in this package counts.  ``complete``,
 ``complete_minus_clique`` and ``from_edge_list`` (which ``listing``'s
 graph-file parser calls) hand their pairs, one at a time, to
-``from_vertices_and_edges``, the one loop that sets adjacency bits from pairs,
-so no pair list is held.
+``from_vertices_and_edges``, the one loop that sets adjacency bits from pairs
+and the one check of an edge (a self-loop, or an endpoint outside the vertex
+set), so no pair list is held and each edge is checked once.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import combinations
 
-from .errors import InvalidParametersError, MalformedInputError
+from .errors import InvalidParametersError, MalformedInputError, check_at_least, check_cell
 
 # Bitset guard: labels above this are rejected at construction.  Brute-force
 # enumeration becomes infeasible far below 64 vertices, so the fixed width
@@ -38,6 +39,7 @@ def label_mask(labels: Iterable[int]) -> int:
 
 def mask_labels(mask: int) -> tuple[int, ...]:
     """Unpack a bitset into ascending labels."""
+    check_at_least("mask", mask, 0)  # mask & -mask never clears a negative int
     out = []
     while mask:
         low = mask & -mask
@@ -56,8 +58,8 @@ class LabelledGraph(namedtuple("LabelledGraph", "vertex_mask adj")):
     __slots__ = ()
 
     def __new__(cls, vertex_mask: int, adj: tuple[int, ...]):
-        mask = vertex_mask
-        if mask & 1:
+        mask, adj = vertex_mask, tuple(adj)
+        if mask & 1 or mask < 0:
             raise InvalidParametersError("vertex labels must be >= 1")
         if mask.bit_length() - 1 > MAX_LABEL:
             raise InvalidParametersError(
@@ -74,11 +76,7 @@ class LabelledGraph(namedtuple("LabelledGraph", "vertex_mask adj")):
                 raise InvalidParametersError(f"self-loop at label {v}")
             if nbrs & ~mask:
                 raise InvalidParametersError(f"neighbor of {v} outside the vertex set")
-            rest = nbrs
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                u = low.bit_length() - 1
+            for u in mask_labels(nbrs):
                 if not (adj[u] >> v) & 1:
                     raise InvalidParametersError(f"asymmetric edge {{{v},{u}}}")
         return super().__new__(cls, vertex_mask, adj)
@@ -100,14 +98,8 @@ class LabelledGraph(namedtuple("LabelledGraph", "vertex_mask adj")):
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """Edge set as unordered pairs, normalized to (smaller, larger)."""
-        out = set()
-        for v in self.labels:
-            rest = self.adj[v] >> (v + 1) << (v + 1)  # neighbors above v
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                out.add((v, low.bit_length() - 1))
-        return frozenset(out)
+        return frozenset((v, u) for v in self.labels
+                         for u in mask_labels(self.adj[v] >> (v + 1) << (v + 1)))  # u above v
 
     @property
     def edge_count(self) -> int:
@@ -135,13 +127,12 @@ def from_vertices_and_edges(
             raise MalformedInputError(f"edge {{{u},{v}}} has an endpoint outside the vertex set")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return LabelledGraph(mask, tuple(adj))
+    return LabelledGraph(mask, adj)
 
 
 def _check_count(n: int) -> None:
     """Refuse a vertex count outside 0..MAX_LABEL before any pair is drawn."""
-    if n < 0:
-        raise InvalidParametersError(f"n must be >= 0, got {n}")
+    check_at_least("n", n, 0)
     if n > MAX_LABEL:
         raise InvalidParametersError(
             f"n = {n} is above the largest supported vertex count, {MAX_LABEL}"
@@ -162,8 +153,7 @@ def complete_minus_clique(n: int, m: int) -> LabelledGraph:
     The prefix {1..m} becomes an independent set; every pair with at least
     one endpoint above m keeps its edge.
     """
-    if n < 0 or m < 0 or m > n:
-        raise InvalidParametersError(f"need 0 <= m <= n, got n={n}, m={m}")
+    check_cell(n, m)
     _check_count(n)
     # u < v, so the pair lies inside {1..m} exactly when v <= m.
     return from_edge_list(n, (pair for pair in combinations(range(1, n + 1), 2) if pair[1] > m))
@@ -172,20 +162,11 @@ def complete_minus_clique(n: int, m: int) -> LabelledGraph:
 def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> LabelledGraph:
     """Graph on labels 1..n with exactly the given edges, deduplicated.
 
-    Out-of-range labels and self-loops are malformed input, refused as the
-    pair that holds one is drawn.
+    Self-loops and endpoints outside 1..n are malformed input, refused by
+    ``from_vertices_and_edges`` as the pair that holds one is drawn.
     """
     _check_count(n)
-    return from_vertices_and_edges(range(1, n + 1), _in_range(n, pairs))
-
-
-def _in_range(n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """``pairs`` as they are drawn, each refused if a label is outside 1..n."""
-    for pair in pairs:
-        u, v = pair
-        if not (1 <= u <= n) or not (1 <= v <= n):
-            raise MalformedInputError(f"edge {{{u},{v}}} has a label outside 1..{n}")
-        yield pair
+    return from_vertices_and_edges(range(1, n + 1), pairs)
 
 
 def delete_vertex(g: LabelledGraph, v: int) -> LabelledGraph:
@@ -193,14 +174,9 @@ def delete_vertex(g: LabelledGraph, v: int) -> LabelledGraph:
     if v < 1 or not g.vertex_mask >> v & 1:
         raise InvalidParametersError(f"label {v} is not a vertex")
     keep = g.vertex_mask & ~(1 << v)
-    adj = [0] * max(keep.bit_length(), 1)
-    rest = keep
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        u = low.bit_length() - 1
-        adj[u] = g.adj[u] & keep
-    return LabelledGraph(keep, tuple(adj))
+    adj = [nbrs & keep for nbrs in g.adj]
+    adj[v] = 0
+    return LabelledGraph(keep, adj[: max(keep.bit_length(), 1)])
 
 
 def mask_connected(mask: int, adj: Sequence[int]) -> bool:

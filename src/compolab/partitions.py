@@ -22,7 +22,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
 from .enumeration import _composition_states
-from .errors import InvalidParametersError, check_cap
+from .errors import InvalidParametersError, check_at_least, check_cap
 from .graphs import LabelledGraph, is_connected_induced, label_mask
 from .walker import _State, _block_stream
 
@@ -145,8 +145,7 @@ def set_partitions(n: int, cap: int | None = None) -> Iterator[Partition]:
 
     Yields exactly bell(n) partitions; n = 0 yields the single empty partition.
     """
-    if n < 0:
-        raise InvalidParametersError(f"n must be >= 0, got {n}")
+    check_at_least("n", n, 0)
     check_cap(n, cap)
     return _partition_stream(tuple(range(1, n + 1)))
 
@@ -176,8 +175,7 @@ def minimax_vertex(p: Partition) -> int | None:
 
 def minimax_restricted(p: Partition, j: int) -> int | None:
     """Minimax taken only over blocks with at most j labels; None if no block qualifies."""
-    if j < 1:
-        raise InvalidParametersError(f"j must be >= 1, got {j}")
+    check_at_least("j", j, 1)
     best: int | None = None
     for block in p.blocks():
         if len(block) > j:

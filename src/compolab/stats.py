@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import BRUTE_FORCE_CAP, InvalidParametersError, check_cap
+from .errors import BRUTE_FORCE_CAP, check_at_least, check_cap, check_cell
 from .walker import _block_stream
 
 
 def minimax_count_brute(n: int, m: int, cap: int | None = None) -> int:
     """Number of partitions of {1..n} whose minimax vertex is m, by enumeration."""
-    if n < 1 or not (1 <= m <= n):
-        raise InvalidParametersError(f"need 1 <= m <= n, got n={n}, m={m}")
+    check_cell(n, m, 1)
     check_cap(n, cap)
     return _statistic_row(n, n)[m]
 
@@ -38,10 +37,8 @@ def kj_count_brute(n: int, m: int, j: int, cap: int | None = None) -> int:
     labels; partitions with no such block carry statistic 0, which is what the
     m = 0 column counts.
     """
-    if j < 1:
-        raise InvalidParametersError(f"j must be >= 1, got {j}")
-    if n < 0 or not (0 <= m <= n):
-        raise InvalidParametersError(f"need 0 <= m <= n, got n={n}, m={m}")
+    check_at_least("j", j, 1)
+    check_cell(n, m)
     check_cap(n, cap)
     return _statistic_row(n, min(j, n))[m]
 

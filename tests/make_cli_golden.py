@@ -13,7 +13,9 @@ The cases are every ``cli`` job of the three benchmark workloads at seeds 11
 and 12 (the library stream is not a command line), the first 1,500 distinct
 argvs that ``test_cli_fuzz._argv`` draws at seed 1, and the refusals of
 ``test_cli.test_huge_sizes_are_refused_before_allocating`` whose inputs are
-small (not ``/dev/zero``, the million-digit files or the 2,000,000 lines).
+small (not ``/dev/zero``, the million-digit files or the 2,000,000 lines),
+and three edges a graph file on ``n 3`` refuses: ``1 4`` and ``0 2`` (an
+endpoint outside the vertex set) and ``5 5`` (a self-loop).
 
 Rerun this only for an intended output change, and list the cases it
 changes; never edit a digest by hand.
@@ -98,6 +100,10 @@ def _refusal_argvs(tmp: Path) -> list[list[str]]:
     brute = ["value", "comp", "-m", "0", "--method", "brute", "-n"]
     argvs = [brute + [n] for n in ("65", "3000", "100000")]
     argvs += [["enumerate", str(tmp / "huge.graph")], ["enumerate", str(tmp / "wide.graph")]]
+    for edge in ("1 4", "0 2", "5 5"):
+        path = tmp / f"edge{edge.replace(' ', '')}.graph"
+        path.write_text(f"n 3\n{edge}\n")
+        argvs.append(["enumerate", str(path)])
     for kind, cell in (("minimax", ["-m", "1"]), ("kj", ["-m", "0", "-j", "2"]),
                        ("k1", ["-m", "0"])):
         argvs.append(["value", kind, *cell, "--method", "brute", "-n", str(10**9)])

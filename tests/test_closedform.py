@@ -8,21 +8,29 @@ from conftest import COMP_TABLE, K1_TABLE, enumerate_partitions
 from compolab import (
     InvalidParametersError,
     MemoStore,
+    Partition,
     bell,
     comp_count_explicit,
     comp_count_paper_literal,
     comp_count_recursive,
+    complete,
     complete_minus_clique,
     composition_count_brute,
+    from_edge_list,
     k1_count_formula,
     kj_count_brute,
     maximin_count_formula,
     minimax_count_brute,
     minimax_count_formula,
+    minimax_restricted,
     row_sum,
+    set_partitions,
     stirling2,
     stirling_row,
+    target_graph,
+    verify,
 )
+from compolab.bijection import verify_row
 
 
 def test_recursive_against_reference_table():
@@ -307,3 +315,28 @@ def test_large_arguments_stay_exact():
     assert value == comp_count_explicit(30, 15)
     assert value > 10**18  # far beyond machine words
     assert int(str(value)) == value
+
+
+# Every public entry point words a domain rule the same way, from errors.check_cell
+# and errors.check_at_least.
+_CELLS_FROM_0 = (comp_count_recursive, comp_count_explicit, comp_count_paper_literal,
+                 k1_count_formula, complete_minus_clique, target_graph, verify,
+                 lambda n, m: kj_count_brute(n, m, 2))
+_CELLS_FROM_1 = (minimax_count_formula, maximin_count_formula, minimax_count_brute)
+_DOMAIN_REFUSALS = (
+    [(f, (3, m), f"need 0 <= m <= n, got n=3, m={m}") for f in _CELLS_FROM_0 for m in (4, -1)]
+    + [(f, (3, m), f"need 1 <= m <= n, got n=3, m={m}") for f in _CELLS_FROM_1
+       for m in (4, -1, 0)]
+    + [(f, (-1,), "n must be >= 0, got -1") for f in (row_sum, set_partitions, verify_row,
+                                                      complete)]
+    + [(from_edge_list, (-1, []), "n must be >= 0, got -1"),
+       (kj_count_brute, (3, 1, 0), "j must be >= 1, got 0"),
+       (minimax_restricted, (Partition((1, 2), (0, 0)), 0), "j must be >= 1, got 0")]
+)
+
+
+@pytest.mark.parametrize("function, args, message", _DOMAIN_REFUSALS)
+def test_domain_refusals_name_the_rule(function, args, message):
+    with pytest.raises(InvalidParametersError) as refused:
+        function(*args)
+    assert str(refused.value) == message

@@ -67,10 +67,11 @@ def test_from_edge_list():
     assert from_edge_list(4, [(1, 2), (2, 1)]).edges == frozenset({(1, 2)})
     with pytest.raises(MalformedInputError):
         from_edge_list(2, [(1, 1)])
-    with pytest.raises(MalformedInputError):
-        from_edge_list(3, [(1, 4)])
-    with pytest.raises(MalformedInputError):
-        from_edge_list(3, [(0, 2)])
+    for edge in ((1, 4), (0, 2)):
+        with pytest.raises(MalformedInputError, match="has an endpoint outside the vertex set"):
+            from_edge_list(3, [edge])
+    with pytest.raises(MalformedInputError, match="self-loop at label 5"):  # though 5 > n
+        from_edge_list(3, [(5, 5)])
     with pytest.raises(MalformedInputError):  # not a negative shift count
         from_vertices_and_edges([], [(-1, 3)])
 
@@ -149,6 +150,9 @@ def test_graph_equality_is_structural():
     assert from_edge_list(3, [(1, 2)]) == from_edge_list(3, [(2, 1)])
     assert from_edge_list(3, [(1, 2)]) != from_edge_list(3, [(1, 3)])
     assert hash(complete(4)) == hash(complete(4))
+    # An adjacency list is kept as a tuple, so the graph hashes as complete(2) does.
+    listed = LabelledGraph(6, [0, 4, 2])
+    assert listed == complete(2) and hash(listed) == hash(complete(2))
 
 
 def test_label_mask_round_trip():
@@ -157,6 +161,9 @@ def test_label_mask_round_trip():
     for label in (-1, 0, MAX_LABEL + 1):
         with pytest.raises(InvalidParametersError, match=f"label {label} out of range"):
             label_mask([2, label])
+    # mask & -mask never clears a negative int, so the walk would never end.
+    with pytest.raises(InvalidParametersError, match="mask must be >= 0, got -4"):
+        mask_labels(-4)
 
 
 def test_max_label_guard():
@@ -169,6 +176,9 @@ def test_adjacency_validation():
     # Asymmetric adjacency must be rejected at construction.
     with pytest.raises(InvalidParametersError):
         LabelledGraph(0b110, (0, 0b100, 0))
+    # -2 has bit 0 clear, and its labels would never end.
+    with pytest.raises(InvalidParametersError, match="vertex labels must be >= 1"):
+        LabelledGraph(-2, (0, 0))
 
 
 def test_parse_graph_file():
