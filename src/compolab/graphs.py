@@ -3,14 +3,16 @@
 Vertices are positive integer labels; a vertex set is an int used as a bitset
 (bit v set <=> label v present).  A graph is a named tuple ``(vertex_mask,
 adj)`` whose constructor checks it, so it hashes and compares as that tuple
-and is safe to share across threads.  The builders cover the family obtained
-from a complete graph by deleting all edges inside the label prefix {1..m},
-which is the family everything else in this package counts.  ``complete``,
-``complete_minus_clique`` and ``from_edge_list`` (which ``listing``'s
-graph-file parser calls) hand their pairs, one at a time, to
-``from_vertices_and_edges``, the one loop that sets adjacency bits from pairs
-and the one check of an edge (a self-loop, or an endpoint outside the vertex
-set), so no pair list is held and each edge is checked once.
+and is safe to share across threads.  ``complete_minus_clique`` is the one
+builder of the family obtained from a complete graph by deleting all edges
+inside the label prefix {1..m}, which is the family everything else in this
+package counts; ``complete(n)`` is its m = 0 member.  It and
+``from_edge_list`` (which ``listing``'s graph-file parser calls) hand their
+pairs, one at a time, to ``from_vertices_and_edges``, the one loop that sets
+adjacency bits from pairs and the one check of an edge (a self-loop, or an
+endpoint outside the vertex set), so no pair list is held and each edge is
+checked once.  ``_check_count`` and ``_above_max`` are the one check and the
+one refusal of a vertex count.
 """
 
 from __future__ import annotations
@@ -130,21 +132,24 @@ def from_vertices_and_edges(
     return LabelledGraph(mask, adj)
 
 
+def _above_max(shown: object) -> InvalidParametersError:
+    """The refusal of a vertex count above MAX_LABEL, with ``shown`` standing
+    for the count (``listing`` shows the cut digits of one too long to read)."""
+    return InvalidParametersError(
+        f"n = {shown} is above the largest supported vertex count, {MAX_LABEL}"
+    )
+
+
 def _check_count(n: int) -> None:
     """Refuse a vertex count outside 0..MAX_LABEL before any pair is drawn."""
     check_at_least("n", n, 0)
     if n > MAX_LABEL:
-        raise InvalidParametersError(
-            f"n = {n} is above the largest supported vertex count, {MAX_LABEL}"
-        )
+        raise _above_max(n)
 
 
-# combinations() lists its pool at once, so the builders below check the count
-# before they hand it range(1, n + 1).
 def complete(n: int) -> LabelledGraph:
     """Complete graph on labels 1..n (n = 0 gives the empty graph)."""
-    _check_count(n)
-    return from_edge_list(n, combinations(range(1, n + 1), 2))
+    return complete_minus_clique(n, 0)
 
 
 def complete_minus_clique(n: int, m: int) -> LabelledGraph:
@@ -153,8 +158,8 @@ def complete_minus_clique(n: int, m: int) -> LabelledGraph:
     The prefix {1..m} becomes an independent set; every pair with at least
     one endpoint above m keeps its edge.
     """
+    _check_count(n)  # combinations() lists its pool at once
     check_cell(n, m)
-    _check_count(n)
     # u < v, so the pair lies inside {1..m} exactly when v <= m.
     return from_edge_list(n, (pair for pair in combinations(range(1, n + 1), 2) if pair[1] > m))
 

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator
 
 from . import enumeration, graphs
 from .cli import EXIT_OK, Args
-from .errors import InvalidParametersError, MalformedInputError
+from .errors import MalformedInputError
 from .reading import _cut, _significant, data_lines, read_lines
 
 # int() takes time quadratic in a token's digits, so the parser refuses a
@@ -41,9 +41,7 @@ def parse_graph_file(lines: str | Iterable[str]) -> graphs.LabelledGraph:
             raise MalformedInputError(f"line {lineno}: expected 'n <count>', got {_cut(line)!r}")
         count = _significant(fields[1])
         if len(count) > _DIGITS:
-            raise InvalidParametersError(
-                f"n = {_cut(count)} is above the largest supported vertex count, "
-                f"{graphs.MAX_LABEL}")
+            raise graphs._above_max(_cut(count))
         return graphs.from_edge_list(int(fields[1]), _edges(rows))
     raise MalformedInputError("missing 'n <count>' header line")
 

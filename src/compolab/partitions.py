@@ -10,7 +10,9 @@ order: ``set_partitions`` walks all Bell(n) partitions with
 partitions of all vertices but the last from ``enumeration``, which places
 the last where every block stays connected.  Both are named tuples whose
 constructors check their fields; the streams build theirs with
-``tuple.__new__``, past checks their walks already meet.
+``tuple.__new__``, past checks their walks already meet.  ``Partition.blocks``
+is the one decoder of the RGS: the block bitsets, the block-line text and the
+minimax statistics are all read off its blocks.
 
 The brute-force counters in ``enumeration`` and ``stats`` build no object and
 never load this module.
@@ -24,7 +26,13 @@ from collections.abc import Iterable, Iterator, Sequence
 from .enumeration import _composition_states
 from .errors import InvalidParametersError, check_at_least, check_cap
 from .graphs import LabelledGraph, is_connected_induced, label_mask
-from .walker import _State, _block_stream
+from .walker import _block_stream
+
+
+def _check_labels(labels: Iterable[int]) -> None:
+    """Refuse labels, in any order, unless every one is an int of at least 1."""
+    if any(type(label) is not int or label < 1 for label in labels):
+        raise InvalidParametersError("labels must be positive integers")
 
 
 class Partition(namedtuple("Partition", "labels rgs")):
@@ -42,13 +50,12 @@ class Partition(namedtuple("Partition", "labels rgs")):
         rgs = tuple(rgs)
         if len(labels) != len(rgs):
             raise InvalidParametersError("labels and rgs must have equal length")
-        if labels and labels[0] < 1:
-            raise InvalidParametersError("labels must be positive integers")
+        _check_labels(labels)
         if any(a >= b for a, b in zip(labels, labels[1:])):
             raise InvalidParametersError("labels must be strictly increasing")
         top = -1
         for value in rgs:
-            if value < 0 or value > top + 1:
+            if type(value) is not int or value < 0 or value > top + 1:
                 raise InvalidParametersError(f"not a restricted growth string: {rgs}")
             if value > top:
                 top = value
@@ -70,6 +77,7 @@ class Partition(namedtuple("Partition", "labels rgs")):
                 if label in owner:
                     raise InvalidParametersError(f"label {label} appears in two blocks")
                 owner[label] = index
+        _check_labels(owner)  # before sorting, which a label of another type breaks
         labels = tuple(sorted(owner))
         block_ids: dict[int, int] = {}
         rgs = []
@@ -82,23 +90,16 @@ class Partition(namedtuple("Partition", "labels rgs")):
     def n(self) -> int:
         return len(self.labels)
 
-    @property
-    def block_count(self) -> int:
-        return max(self.rgs) + 1 if self.rgs else 0
-
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks as ascending label tuples, ordered by minimum element."""
-        out: list[list[int]] = [[] for _ in range(self.block_count)]
+        out: list[list[int]] = [[] for _ in range(max(self.rgs, default=-1) + 1)]
         for label, b in zip(self.labels, self.rgs):
             out[b].append(label)
-        return tuple(tuple(b) for b in out)
+        return tuple(map(tuple, out))
 
     def block_bitsets(self) -> tuple[int, ...]:
         """Blocks as label bitsets, ordered by minimum element."""
-        out = [0] * self.block_count
-        for label, b in zip(self.labels, self.rgs):
-            out[b] |= 1 << label
-        return tuple(out)
+        return tuple(sum(1 << label for label in block) for block in self.blocks())
 
     def __str__(self):
         """Block-line format, e.g. ``{1,3}|{2}``."""
@@ -128,11 +129,10 @@ class Composition(namedtuple("Composition", "graph partition")):
 
 def partitions_of(labels: Iterable[int], cap: int | None = None) -> Iterator[Partition]:
     """Every partition of an explicit label set, in lexicographic RGS order."""
-    ground = tuple(sorted(set(labels)))
-    if ground and ground[0] < 1:
-        raise InvalidParametersError("labels must be positive integers")
+    ground = set(labels)
+    _check_labels(ground)
     check_cap(len(ground), cap)
-    return _partition_stream(ground)
+    return _partition_stream(tuple(sorted(ground)))
 
 
 def _partition_stream(ground: tuple[int, ...]) -> Iterator[Partition]:
@@ -159,13 +159,10 @@ def is_composition(g: LabelledGraph, p: Partition) -> bool:
 
 def compositions(g: LabelledGraph, cap: int | None = None) -> Iterator[Composition]:
     """Every composition of g, in the set_partitions order of its vertex set."""
-    return _composition_stream(g, _composition_states(g, cap))
-
-
-def _composition_stream(g: LabelledGraph, states: Iterator[_State]) -> Iterator[Composition]:
     labels = g.labels
-    for rgs, _ in states:
-        yield tuple.__new__(Composition, (g, tuple.__new__(Partition, (labels, tuple(rgs)))))
+    # A generator's first iterable is made at once, so the cap is checked here.
+    return (tuple.__new__(Composition, (g, tuple.__new__(Partition, (labels, tuple(rgs)))))
+            for rgs, _ in _composition_states(g, cap))
 
 
 def minimax_vertex(p: Partition) -> int | None:
@@ -176,11 +173,4 @@ def minimax_vertex(p: Partition) -> int | None:
 def minimax_restricted(p: Partition, j: int) -> int | None:
     """Minimax taken only over blocks with at most j labels; None if no block qualifies."""
     check_at_least("j", j, 1)
-    best: int | None = None
-    for block in p.blocks():
-        if len(block) > j:
-            continue
-        top = block[-1]
-        if best is None or top < best:
-            best = top
-    return best
+    return min((block[-1] for block in p.blocks() if len(block) <= j), default=None)

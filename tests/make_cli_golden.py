@@ -14,8 +14,9 @@ and 12 (the library stream is not a command line), the first 1,500 distinct
 argvs that ``test_cli_fuzz._argv`` draws at seed 1, and the refusals of
 ``test_cli.test_huge_sizes_are_refused_before_allocating`` whose inputs are
 small (not ``/dev/zero``, the million-digit files or the 2,000,000 lines),
-and three edges a graph file on ``n 3`` refuses: ``1 4`` and ``0 2`` (an
-endpoint outside the vertex set) and ``5 5`` (a self-loop).
+a header count of 50 digits, which the refusal shows cut, and three edges a
+graph file on ``n 3`` refuses: ``1 4`` and ``0 2`` (an endpoint outside the
+vertex set) and ``5 5`` (a self-loop).
 
 Rerun this only for an intended output change, and list the cases it
 changes; never edit a digest by hand.
@@ -97,9 +98,10 @@ def _fuzz_argvs(tmp: Path) -> list[list[str]]:
 def _refusal_argvs(tmp: Path) -> list[list[str]]:
     (tmp / "huge.graph").write_text("n 1000000000\n")
     (tmp / "wide.graph").write_text("n 65\n1 2\n")
+    (tmp / "long.graph").write_text("n " + "7" * 50 + "\n")  # a count too long to read
     brute = ["value", "comp", "-m", "0", "--method", "brute", "-n"]
     argvs = [brute + [n] for n in ("65", "3000", "100000")]
-    argvs += [["enumerate", str(tmp / "huge.graph")], ["enumerate", str(tmp / "wide.graph")]]
+    argvs += [["enumerate", str(tmp / f"{name}.graph")] for name in ("huge", "wide", "long")]
     for edge in ("1 4", "0 2", "5 5"):
         path = tmp / f"edge{edge.replace(' ', '')}.graph"
         path.write_text(f"n 3\n{edge}\n")

@@ -78,6 +78,37 @@ def test_partition_rejects_bad_input():
         Partition.from_blocks([{1}, {1, 2}])  # overlap
     with pytest.raises(InvalidParametersError):
         Partition.from_blocks([set()])  # empty block
+    # Labels and RGS entries must be ints, not merely numbers that compare.
+    with pytest.raises(InvalidParametersError, match="labels must be positive integers"):
+        Partition((1, 2.5), (0, 0))
+    with pytest.raises(InvalidParametersError, match="labels must be positive integers"):
+        Partition.from_blocks([{1.0, 2}])
+    with pytest.raises(InvalidParametersError, match="not a restricted growth string"):
+        Partition((1, 2), (0.0, 1))
+    for labels in (("a", "b"), (1, None), (True, 2)):
+        with pytest.raises(InvalidParametersError, match="labels must be positive integers"):
+            Partition(labels, (0, 0))
+    with pytest.raises(InvalidParametersError, match="labels must be positive integers"):
+        Partition.from_blocks([{1, "a"}])  # refused before sorting meets the str
+
+
+def test_partition_views_match_the_independent_oracle():
+    # Every view of a partition is read off Partition.blocks(). Each must agree
+    # with the blocks of the recursive enumeration in conftest, turned into
+    # partitions by from_blocks, which decodes no RGS.
+    for n in range(8):
+        oracle = enumerate_partitions(range(1, n + 1))
+        built = [Partition.from_blocks(blocks) for blocks in oracle]
+        assert len(built) == bell(n) and set(built) == set(set_partitions(n))
+        for blocks, p in zip(oracle, built):
+            expected = tuple(sorted(tuple(sorted(block)) for block in blocks))
+            assert p.blocks() == expected
+            assert p.block_bitsets() == tuple(sum(2**v for v in block) for block in expected)
+            assert str(p) == "|".join("{" + ",".join(map(str, b)) + "}" for b in expected)
+            assert minimax_vertex(p) == min((b[-1] for b in expected), default=None)
+            for j in range(1, n + 2):
+                tops = [b[-1] for b in expected if len(b) <= j]
+                assert minimax_restricted(p, j) == min(tops, default=None), (p, j)
 
 
 def test_streamed_partitions_equal_checked_ones():
@@ -186,7 +217,7 @@ def test_partitions_of_arbitrary_labels():
     assert len(parts) == 5
     assert all(p.labels == (2, 4, 9) for p in parts)
     # A ground set the constructor would refuse is refused at the call.
-    for labels in ([-3, 0], [0], [5, -1]):
+    for labels in ([-3, 0], [0], [5, -1], [1, 2.5], [1, "a"]):
         with pytest.raises(InvalidParametersError, match="labels must be positive integers"):
             partitions_of(labels)
 

@@ -1,6 +1,7 @@
 """Graph construction, connectivity queries, and the graph file format."""
 
 import random
+from itertools import combinations
 
 import pytest
 from conftest import bfs_connected
@@ -26,6 +27,9 @@ def test_complete_examples():
     k3 = complete(3)
     assert k3.edges == frozenset({(1, 2), (1, 3), (2, 3)})
     assert complete(5).edge_count == 10
+    for n in range(13):
+        assert complete(n) == complete_minus_clique(n, 0)
+        assert complete(n).edges == frozenset(combinations(range(1, n + 1), 2))
 
 
 def test_complete_minus_clique_examples():
